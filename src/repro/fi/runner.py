@@ -83,7 +83,7 @@ from repro.fi.checkpoint import (
 from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.netlist import Netlist
 from repro.sim.bitparallel import BitParallelSimulator
-from repro.sim.waveform import Workload
+from repro.sim.waveform import Workload, reject_zero_cycle
 from repro.utils.errors import CampaignError, SimulationError
 from repro.utils.parallel import (
     auto_shard_size,
@@ -245,12 +245,7 @@ class CampaignRunner:
                 "duplicate workload names shadow each other in "
                 f"per-workload reports: {', '.join(duplicates)}"
             )
-        empty = [w.name for w in workloads if w.cycles == 0]
-        if empty:
-            raise SimulationError(
-                "zero-cycle workloads have no error rate: "
-                + ", ".join(empty)
-            )
+        reject_zero_cycle(workloads)
         if severity == "auto":
             severity = severity_for(netlist, DEFAULT_SEVERITY)
         if not 0.0 <= severity <= 1.0:

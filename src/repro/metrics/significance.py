@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.utils.errors import ModelError
 
@@ -62,6 +61,10 @@ def mcnemar_test(
     discordant = a_right_b_wrong + a_wrong_b_right
     if discordant == 0:
         return McNemarResult(0, 0, 1.0)
+
+    # Imported here: scipy.stats costs about a second of import time,
+    # which every ``import repro`` would otherwise pay.
+    from scipy.stats import binom
 
     k = min(a_right_b_wrong, a_wrong_b_right)
     p_value = min(

@@ -9,10 +9,14 @@ from repro.sim.waveform import Trace, Workload
 from repro.sim.workloads import (
     DEFAULT_CYCLES,
     design_workloads,
+    icfsm_driver,
     icfsm_workload,
+    or1200_if_driver,
     or1200_if_workload,
     random_workload,
+    sdram_driver,
     sdram_workload,
+    uart_driver,
     uart_workload,
 )
 
@@ -30,9 +34,13 @@ __all__ = [
     "Workload",
     "DEFAULT_CYCLES",
     "design_workloads",
+    "icfsm_driver",
     "icfsm_workload",
+    "or1200_if_driver",
     "or1200_if_workload",
     "random_workload",
+    "sdram_driver",
     "sdram_workload",
+    "uart_driver",
     "uart_workload",
 ]

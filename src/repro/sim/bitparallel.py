@@ -19,6 +19,13 @@ once and reused across cycles, constant-cell outputs are evaluated once
 per pass, fault forcing masks are gathered per group once per pass, and
 per-machine error-cycle counts accumulate by popcounting chunks of
 packed mismatch words instead of unpacking every mismatch cycle.
+
+Golden (fault-free) runs use the same word axis for *workloads*
+instead of faults: in :meth:`BitParallelSimulator.golden_stats` and
+:meth:`BitParallelSimulator.run_drivers`, lane *w* (bit ``w % 64`` of
+word ``w // 64``) carries workload or driver *w*, so a whole suite
+costs one settle/commit per cycle rather than one per cycle per
+workload.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import numpy as np
 
 from repro.netlist.cells import Cell
 from repro.netlist.netlist import Netlist
-from repro.sim.waveform import Workload
+from repro.sim.simulator import Driver
+from repro.sim.waveform import Workload, reject_zero_cycle
 from repro.utils.errors import SimulationError
 
 ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -76,7 +84,16 @@ class GoldenStats:
     Drives the paper's probability features: ``P(net == 1)`` is
     ``ones_count / cycles`` and the transition probability is
     ``transition_count / (cycles - n_workloads)`` (the first cycle of
-    each workload has no predecessor).
+    each workload has no predecessor).  ``cycles`` is the suite's
+    total, and zero-cycle workloads are rejected: they have no first
+    cycle to subtract.
+
+    The counts come from one lane-packed pass: the stimulus is packed
+    as ``(max_cycles, n_pi, ceil(W/64))`` words with workload *w* on
+    lane *w*, and each cycle's settled-and-committed net words are
+    popcounted per net after masking out lanes whose workload has
+    already ended, so mixed cycle counts and any number of workloads
+    give the same totals as one scalar run per workload.
     """
 
     net_names: List[str]
@@ -437,37 +454,111 @@ class BitParallelSimulator:
         return corrupted & ~observed
 
     # ------------------------------------------------------------------
-    # golden runs
+    # golden runs (one lane per workload)
     # ------------------------------------------------------------------
     def golden_stats(self, workloads: Sequence[Workload]) -> GoldenStats:
-        """Accumulate per-net state/transition counts over workloads."""
+        """Accumulate per-net state/transition counts over workloads.
+
+        The whole suite simulates in one pass: lane *w* replays
+        workload *w* (see :class:`GoldenStats` for the layout), so a
+        cycle costs one settle/commit however many workloads there
+        are.  Lanes whose workload has ended keep running on zero
+        inputs but are masked out of the counts.
+        """
+        for workload in workloads:
+            self._check_workload(workload)
+        reject_zero_cycle(workloads)
         n_nets = self.netlist.n_nets
         ones_count = np.zeros(n_nets, dtype=np.int64)
         transition_count = np.zeros(n_nets, dtype=np.int64)
-        total_cycles = 0
-        scratch = self._scratch(1)
-        for workload in workloads:
-            self._check_workload(workload)
-            values = np.zeros((n_nets, 1), dtype=np.uint64)
-            stimulus = workload.vectors.astype(bool)
-            previous: Optional[np.ndarray] = None
-            for cycle in range(workload.cycles):
-                self._apply_inputs(values, stimulus[cycle])
-                self._settle(values, None, scratch)
-                self._commit(values, None, scratch)
-                bits = (values[:, 0] & np.uint64(1)).astype(np.int64)
-                ones_count += bits
-                if previous is not None:
-                    transition_count += bits ^ previous
-                previous = bits
-            total_cycles += workload.cycles
+        lengths = np.array([w.cycles for w in workloads], dtype=np.int64)
+        n_cycles = int(lengths.max()) if len(workloads) else 0
+
+        bits = np.zeros((n_cycles, len(self._pi_idx), len(workloads)),
+                        dtype=np.uint8)
+        for lane, workload in enumerate(workloads):
+            bits[:workload.cycles, :, lane] = workload.vectors
+        stimulus = _pack_lanes(bits)  # (cycles, n_pi, n_words)
+        live = _pack_lanes(
+            (np.arange(n_cycles)[:, None] < lengths).astype(np.uint8)
+        )  # (cycles, n_words): lanes whose workload is still running
+
+        n_words = stimulus.shape[-1]
+        scratch = self._scratch(n_words)
+        values = np.zeros((n_nets, n_words), dtype=np.uint64)
+        previous = np.empty_like(values)
+        counted = np.empty_like(values)
+        for cycle in range(n_cycles):
+            values[self._pi_idx] = stimulus[cycle]
+            self._settle(values, None, scratch)
+            self._commit(values, None, scratch)
+            np.bitwise_and(values, live[cycle], out=counted)
+            ones_count += _lane_popcount(counted)
+            if cycle:
+                np.bitwise_xor(values, previous, out=counted)
+                counted &= live[cycle]
+                transition_count += _lane_popcount(counted)
+            np.copyto(previous, values)
         return GoldenStats(
             net_names=[net.name for net in self.netlist.nets],
             ones_count=ones_count,
             transition_count=transition_count,
-            cycles=total_cycles,
+            cycles=int(lengths.sum()),
             workloads=len(workloads),
         )
+
+    def run_drivers(
+        self,
+        drivers: Sequence[Driver],
+        cycles: int,
+        names: Sequence[str],
+    ) -> List[Workload]:
+        """Run closed-loop drivers in lockstep, one lane per driver.
+
+        Driver *w* owns lane *w*: each cycle it sees only its own
+        lane's previous-cycle primary outputs (``{}`` on cycle 0) and
+        its requested inputs drive only its lane, so the recorded
+        workloads equal what :meth:`repro.sim.simulator.Simulator.
+        run_driver` records for each driver alone, at one settle/commit
+        per cycle for the whole suite.  Inputs a driver leaves out are
+        0 that cycle.
+        """
+        if len(names) != len(drivers):
+            raise SimulationError(
+                f"{len(drivers)} drivers but {len(names)} names"
+            )
+        if not drivers:
+            return []
+        column = {name: index for index, name in enumerate(self._pi_names)}
+        po_names = self.netlist.output_names()
+        vectors = np.zeros((len(drivers), cycles, len(self._pi_names)),
+                           dtype=np.uint8)
+        n_words = (len(drivers) + 63) // 64
+        scratch = self._scratch(n_words)
+        values = np.zeros((self.netlist.n_nets, n_words), dtype=np.uint64)
+        observed: List[Dict[str, int]] = [{} for _ in drivers]
+        for cycle in range(cycles):
+            rows = vectors[:, cycle]
+            for lane, driver in enumerate(drivers):
+                row = rows[lane]
+                for key, value in driver(cycle, observed[lane]).items():
+                    index = column.get(key)
+                    if index is None:
+                        raise SimulationError(
+                            f"driver produced unknown input {key!r}"
+                        )
+                    row[index] = 1 if value else 0
+            values[self._pi_idx] = _pack_lanes(rows.T)
+            self._settle(values, None, scratch)
+            lanes = _unpack_lanes(values[self._po_idx], len(drivers))
+            observed = [dict(zip(po_names, outputs))
+                        for outputs in lanes.T.tolist()]
+            self._commit(values, None, scratch)
+        return [
+            Workload(name=name, input_names=list(self._pi_names),
+                     vectors=vectors[lane].copy())
+            for lane, name in enumerate(names)
+        ]
 
     def golden_outputs(self, workload: Workload) -> np.ndarray:
         """Golden primary-output trace, shape (cycles, n_outputs).
@@ -790,6 +881,31 @@ class BitParallelSimulator:
         latent = self._latent_flags(values, n_machines, observed)
         return (accumulator.error_cycles(),
                 accumulator.detection_cycle, latent)
+
+
+def _pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 lanes on the last axis into machine words: lane *w*
+    becomes bit ``w % 64`` of word ``w // 64``; the unused tail of the
+    last word is 0."""
+    n_lanes = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (64 * ((n_lanes + 63) // 64),),
+                      dtype=np.uint8)
+    padded[..., :n_lanes] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
+
+
+def _unpack_lanes(words: np.ndarray, n_lanes: int) -> np.ndarray:
+    """Inverse of :func:`_pack_lanes`: (..., n_words) -> (..., n_lanes)."""
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
+                         axis=-1, bitorder="little")
+    return bits[..., :n_lanes]
+
+
+def _lane_popcount(words: np.ndarray) -> np.ndarray:
+    """Set lanes per row of packed words, shape (rows, n_words)."""
+    return np.unpackbits(words.view(np.uint8), axis=1).sum(
+        axis=1, dtype=np.int64
+    )
 
 
 def _machine_flags(mask_words: np.ndarray, n_machines: int) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Scalar cycle-accurate logic simulator (reference implementation).
+"""Scalar cycle-accurate logic simulator (reference oracle).
 
 This is the readable, obviously-correct simulator the bit-parallel
 engine (:mod:`repro.sim.bitparallel`) is cross-checked against in the
-test suite.  It also powers *closed-loop* workload recording
-(:meth:`Simulator.run_driver`): a Python driver reacts to the design's
-outputs each cycle — modelling a bus, a cache, or a host — and the
-resulting stimulus is captured as a replayable :class:`Workload`,
-mirroring how application workloads drive the designs in the paper's
-Xcelium campaigns.
+test suite.  It is the oracle, not the generator: the production paths
+(golden statistics, closed-loop workload recording, fault campaigns)
+all run on the bit-parallel engine, which packs one workload or driver
+per machine-word lane.  :meth:`Simulator.run_driver` records one
+closed-loop driver — a Python model of a bus, a cache, or a host that
+reacts to the design's outputs each cycle — into a replayable
+:class:`Workload`; the test suite checks that
+:meth:`~repro.sim.bitparallel.BitParallelSimulator.run_drivers`
+records bitwise the same stimulus for every lane.
 
 Semantics: single implicit clock; all flip-flops sample on the cycle
 boundary; combinational logic settles instantly (zero-delay model);

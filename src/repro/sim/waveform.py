@@ -77,6 +77,18 @@ class Workload:
         return self.vectors[:, index]
 
 
+def reject_zero_cycle(workloads: Sequence[Workload]) -> None:
+    """Raise on workloads with no cycles: they have no error rate and
+    would still count toward every per-workload denominator."""
+    empty = [workload.name for workload in workloads
+             if workload.cycles == 0]
+    if empty:
+        raise SimulationError(
+            "zero-cycle workloads have no error rate: "
+            + ", ".join(empty)
+        )
+
+
 @dataclass
 class Trace:
     """Recorded behaviour of one simulation run."""

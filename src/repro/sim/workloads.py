@@ -8,7 +8,12 @@ beats) recorded into replayable vectors, plus constrained-random
 stimulus for generic designs.
 
 Every generator starts with a reset pulse and is fully deterministic
-given its seed.
+given its seed.  Each protocol generator is a driver factory
+(``*_driver``) plus a recording call: a design's suite builds all of
+its drivers and records them in one lockstep bit-parallel pass
+(:meth:`~repro.sim.bitparallel.BitParallelSimulator.run_drivers`, one
+lane per driver), and the single-workload ``*_workload`` functions
+record one driver the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.netlist.netlist import Netlist
-from repro.sim.simulator import Simulator
+from repro.sim.bitparallel import BitParallelSimulator
+from repro.sim.simulator import Driver
 from repro.sim.waveform import Workload
 from repro.utils.rng import SeedLike, derive_rng
 
@@ -66,15 +72,13 @@ def random_workload(
 # ----------------------------------------------------------------------
 # SDRAM controller host driver
 # ----------------------------------------------------------------------
-def sdram_workload(
-    netlist: Netlist,
+def sdram_driver(
     cycles: int = DEFAULT_CYCLES,
     seed: SeedLike = 0,
-    name: Optional[str] = None,
     request_rate: float = 0.4,
     write_fraction: float = 0.5,
     address_bits: int = 22,
-) -> Workload:
+) -> Driver:
     """Host traffic for the SDRAM controller.
 
     Models a memory client: after reset it issues read/write requests
@@ -105,10 +109,22 @@ def sdram_workload(
                 row[f"haddr_{bit}"] = (state["addr"] >> bit) & 1
         return row
 
-    simulator = Simulator(netlist)
-    return simulator.run_driver(
-        driver, cycles, name=name or f"sdram_host[{seed}]"
+    return driver
+
+
+def sdram_workload(
+    netlist: Netlist,
+    cycles: int = DEFAULT_CYCLES,
+    seed: SeedLike = 0,
+    name: Optional[str] = None,
+    **profile,
+) -> Workload:
+    """One :func:`sdram_driver` run recorded as a workload."""
+    [workload] = BitParallelSimulator(netlist).run_drivers(
+        [sdram_driver(cycles, seed, **profile)], cycles,
+        [name or f"sdram_host[{seed}]"],
     )
+    return workload
 
 
 # ----------------------------------------------------------------------
@@ -127,17 +143,15 @@ _OR1K_OPCODES = (
 )
 
 
-def or1200_if_workload(
-    netlist: Netlist,
+def or1200_if_driver(
     cycles: int = DEFAULT_CYCLES,
     seed: SeedLike = 0,
-    name: Optional[str] = None,
     hit_rate: float = 0.7,
     branch_rate: float = 0.15,
     stall_rate: float = 0.1,
     error_rate: float = 0.02,
     exception_rate: float = 0.02,
-) -> Workload:
+) -> Driver:
     """Instruction-cache plus pipeline-backpressure traffic for the IF
     stage: variable-latency acks, realistic OR1K opcodes, taken
     branches, stalls, occasional bus errors and exception redirects.
@@ -184,26 +198,36 @@ def or1200_if_workload(
                 row[f"except_type_{bit}"] = (cause >> bit) & 1
         return row
 
-    simulator = Simulator(netlist)
-    return simulator.run_driver(
-        driver, cycles, name=name or f"or1200_if[{seed}]"
+    return driver
+
+
+def or1200_if_workload(
+    netlist: Netlist,
+    cycles: int = DEFAULT_CYCLES,
+    seed: SeedLike = 0,
+    name: Optional[str] = None,
+    **profile,
+) -> Workload:
+    """One :func:`or1200_if_driver` run recorded as a workload."""
+    [workload] = BitParallelSimulator(netlist).run_drivers(
+        [or1200_if_driver(cycles, seed, **profile)], cycles,
+        [name or f"or1200_if[{seed}]"],
     )
+    return workload
 
 
 # ----------------------------------------------------------------------
 # OR1200 ICFSM driver
 # ----------------------------------------------------------------------
-def icfsm_workload(
-    netlist: Netlist,
+def icfsm_driver(
     cycles: int = DEFAULT_CYCLES,
     seed: SeedLike = 0,
-    name: Optional[str] = None,
     hit_rate: float = 0.6,
     inhibit_rate: float = 0.08,
     error_rate: float = 0.03,
     invalidate_rate: float = 0.02,
     fetch_rate: float = 0.75,
-) -> Workload:
+) -> Driver:
     """CPU fetch stream plus bus-interface responses for the cache FSM.
 
     Models the CPU side (strobes with random addresses, occasional
@@ -266,24 +290,34 @@ def icfsm_workload(
         row["invalidate"] = int(rng.random() < invalidate_rate)
         return row
 
-    simulator = Simulator(netlist)
-    return simulator.run_driver(
-        driver, cycles, name=name or f"icfsm[{seed}]"
+    return driver
+
+
+def icfsm_workload(
+    netlist: Netlist,
+    cycles: int = DEFAULT_CYCLES,
+    seed: SeedLike = 0,
+    name: Optional[str] = None,
+    **profile,
+) -> Workload:
+    """One :func:`icfsm_driver` run recorded as a workload."""
+    [workload] = BitParallelSimulator(netlist).run_drivers(
+        [icfsm_driver(cycles, seed, **profile)], cycles,
+        [name or f"icfsm[{seed}]"],
     )
+    return workload
 
 
 # ----------------------------------------------------------------------
 # UART loopback driver
 # ----------------------------------------------------------------------
-def uart_workload(
-    netlist: Netlist,
+def uart_driver(
     cycles: int = DEFAULT_CYCLES,
     seed: SeedLike = 0,
-    name: Optional[str] = None,
     send_rate: float = 0.6,
     noise_rate: float = 0.0,
     break_rate: float = 0.0,
-) -> Workload:
+) -> Driver:
     """Loopback traffic for the UART: the driver echoes ``txd`` back
     into ``rxd`` (a physical loopback plug), sends random bytes whenever
     the transmitter is free, and optionally injects line noise (bit
@@ -313,10 +347,22 @@ def uart_workload(
                 row[f"tx_data_{bit}"] = (byte >> bit) & 1
         return row
 
-    simulator = Simulator(netlist)
-    return simulator.run_driver(
-        driver, cycles, name=name or f"uart[{seed}]"
+    return driver
+
+
+def uart_workload(
+    netlist: Netlist,
+    cycles: int = DEFAULT_CYCLES,
+    seed: SeedLike = 0,
+    name: Optional[str] = None,
+    **profile,
+) -> Workload:
+    """One :func:`uart_driver` run recorded as a workload."""
+    [workload] = BitParallelSimulator(netlist).run_drivers(
+        [uart_driver(cycles, seed, **profile)], cycles,
+        [name or f"uart[{seed}]"],
     )
+    return workload
 
 
 def _uart_suite(netlist, count, cycles, seed):
@@ -330,14 +376,8 @@ def _uart_suite(netlist, count, cycles, seed):
         dict(send_rate=0.9, noise_rate=0.01, break_rate=0.01), # stressed
         dict(send_rate=0.4, noise_rate=0.0, break_rate=0.0),   # moderate
     ]
-    workloads = []
-    for index in range(count):
-        profile = profiles[index % len(profiles)]
-        workloads.append(uart_workload(
-            netlist, cycles, seed=(seed, index),
-            name=f"uart[{index}]", **profile,
-        ))
-    return workloads
+    return _profile_suite(netlist, count, cycles, seed, uart_driver,
+                          profiles, lambda index, _: f"uart[{index}]")
 
 
 def design_workloads(
@@ -378,16 +418,11 @@ def _sdram_suite(netlist, count, cycles, seed):
         dict(request_rate=0.9, write_fraction=0.5),   # saturating mix
         dict(request_rate=0.25, write_fraction=0.0),  # light reads
     ]
-    workloads = []
-    for index in range(count):
-        profile = profiles[index % len(profiles)]
-        workloads.append(sdram_workload(
-            netlist, cycles, seed=(seed, index),
-            name=f"sdram[{index}]"
-                 f"(rq={profile['request_rate']},wr={profile['write_fraction']})",
-            **profile,
-        ))
-    return workloads
+    return _profile_suite(
+        netlist, count, cycles, seed, sdram_driver, profiles,
+        lambda index, profile: f"sdram[{index}]"
+        f"(rq={profile['request_rate']},wr={profile['write_fraction']})",
+    )
 
 
 def _or1200_if_suite(netlist, count, cycles, seed):
@@ -412,14 +447,8 @@ def _or1200_if_suite(netlist, count, cycles, seed):
         dict(hit_rate=0.6, branch_rate=0.25, stall_rate=0.25,
              error_rate=0.05, exception_rate=0.05),   # stressed mix
     ]
-    workloads = []
-    for index in range(count):
-        profile = profiles[index % len(profiles)]
-        workloads.append(or1200_if_workload(
-            netlist, cycles, seed=(seed, index),
-            name=f"or1200_if[{index}]", **profile,
-        ))
-    return workloads
+    return _profile_suite(netlist, count, cycles, seed, or1200_if_driver,
+                          profiles, lambda index, _: f"or1200_if[{index}]")
 
 
 def _icfsm_suite(netlist, count, cycles, seed):
@@ -444,14 +473,18 @@ def _icfsm_suite(netlist, count, cycles, seed):
         dict(hit_rate=0.3, fetch_rate=0.9, inhibit_rate=0.15,
              error_rate=0.08, invalidate_rate=0.08),  # stressed mix
     ]
-    workloads = []
-    for index in range(count):
-        profile = profiles[index % len(profiles)]
-        workloads.append(icfsm_workload(
-            netlist, cycles, seed=(seed, index),
-            name=f"icfsm[{index}]", **profile,
-        ))
-    return workloads
+    return _profile_suite(netlist, count, cycles, seed, icfsm_driver,
+                          profiles, lambda index, _: f"icfsm[{index}]")
+
+
+def _profile_suite(netlist, count, cycles, seed, factory, profiles, label):
+    """Driver ``index`` runs ``profiles[index % len(profiles)]`` with
+    seed ``(seed, index)``; the whole suite records in one pass."""
+    chosen = [profiles[index % len(profiles)] for index in range(count)]
+    drivers = [factory(cycles, (seed, index), **profile)
+               for index, profile in enumerate(chosen)]
+    names = [label(index, profile) for index, profile in enumerate(chosen)]
+    return BitParallelSimulator(netlist).run_drivers(drivers, cycles, names)
 
 
 def _generic_suite(netlist, count, cycles, seed):

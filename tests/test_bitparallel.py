@@ -57,6 +57,129 @@ def test_golden_stats_accumulate_workloads(icfsm):
     assert stats.workloads == 2
 
 
+def scalar_golden_counts(netlist, workloads):
+    """Per-net ones/transition counts from one scalar run per workload
+    — the oracle for the lane-packed golden pass."""
+    ones = np.zeros(netlist.n_nets, dtype=np.int64)
+    transitions = np.zeros(netlist.n_nets, dtype=np.int64)
+    simulator = Simulator(netlist)
+    for workload in workloads:
+        nets = simulator.run(workload, record_nets=True).net_values
+        ones += nets.sum(axis=0, dtype=np.int64)
+        transitions += (np.diff(nets, axis=0) != 0).sum(axis=0)
+    return ones, transitions
+
+
+def test_golden_stats_mixed_cycle_counts_match_scalar(icfsm):
+    # Lanes end at different cycles, including a one-cycle workload
+    # that contributes ones but no transitions.
+    workloads = [
+        random_workload(icfsm, cycles=cycles, seed=index,
+                        name=f"w{index}")
+        for index, cycles in enumerate([40, 1, 17, 63, 2])
+    ]
+    stats = BitParallelSimulator(icfsm).golden_stats(workloads)
+    ones, transitions = scalar_golden_counts(icfsm, workloads)
+    assert np.array_equal(stats.ones_count, ones)
+    assert np.array_equal(stats.transition_count, transitions)
+    assert stats.cycles == 123
+    assert stats.workloads == 5
+
+
+def test_golden_stats_multi_word_lanes_match_scalar():
+    # 70 workloads need two machine words of lanes.
+    netlist = random_netlist(n_inputs=5, n_gates=40, n_flops=5,
+                             n_outputs=3, seed=8)
+    workloads = [
+        random_workload(netlist, cycles=3 + index % 11, seed=index,
+                        reset_input="in_0", name=f"w{index}")
+        for index in range(70)
+    ]
+    stats = BitParallelSimulator(netlist).golden_stats(workloads)
+    ones, transitions = scalar_golden_counts(netlist, workloads)
+    assert np.array_equal(stats.ones_count, ones)
+    assert np.array_equal(stats.transition_count, transitions)
+    assert stats.cycles == sum(w.cycles for w in workloads)
+
+
+def test_golden_stats_rejects_zero_cycle_workloads():
+    # A zero-cycle workload would still count toward the transition
+    # denominator (cycles - workloads) and skew every probability.
+    from repro.circuits import build_uart
+    from repro.sim import Workload, design_workloads
+    from repro.utils.errors import SimulationError
+
+    uart = build_uart()
+    suite = design_workloads(uart.name, uart, count=1, cycles=50, seed=0)
+    empty = Workload("empty", uart.input_names(),
+                     np.zeros((0, uart.n_inputs), dtype=np.uint8))
+    simulator = BitParallelSimulator(uart)
+    with pytest.raises(SimulationError,
+                       match="zero-cycle workloads.*empty"):
+        simulator.golden_stats(suite + [empty])
+    stats = simulator.golden_stats(suite)
+    assert stats.cycles - stats.workloads == 49
+
+
+def scalar_run_drivers(self, drivers, cycles, names):
+    """Reference for :meth:`BitParallelSimulator.run_drivers`: one
+    scalar closed-loop run per driver."""
+    return [Simulator(self.netlist).run_driver(driver, cycles, name=name)
+            for driver, name in zip(drivers, names)]
+
+
+@pytest.mark.parametrize("design", ["sdram", "or1200_if", "or1200_icfsm",
+                                    "uart"])
+def test_run_drivers_matches_scalar_on_builtin_suites(design, monkeypatch):
+    from repro.circuits import build_design
+    from repro.sim import design_workloads
+
+    netlist = build_design(design)
+    packed = design_workloads(netlist.name, netlist, count=9, cycles=60,
+                              seed=3)
+    monkeypatch.setattr(BitParallelSimulator, "run_drivers",
+                        scalar_run_drivers)
+    scalar = design_workloads(netlist.name, netlist, count=9, cycles=60,
+                              seed=3)
+    assert [w.name for w in packed] == [w.name for w in scalar]
+    for ours, reference in zip(packed, scalar):
+        assert ours.input_names == reference.input_names
+        assert ours.vectors.dtype == reference.vectors.dtype
+        assert np.array_equal(ours.vectors, reference.vectors)
+
+
+def test_run_drivers_lanes_see_only_their_own_outputs(tiny_netlist):
+    # Lane w drives a = b = (w is odd); each driver must observe its
+    # own lane's previous-cycle y, and nothing on cycle 0.
+    seen = {lane: [] for lane in range(4)}
+
+    def make(lane):
+        def driver(cycle, outputs):
+            seen[lane].append(dict(outputs))
+            return {"a": lane % 2, "b": lane % 2}
+        return driver
+
+    workloads = BitParallelSimulator(tiny_netlist).run_drivers(
+        [make(lane) for lane in range(4)], 3, [f"d{i}" for i in range(4)]
+    )
+    for lane in range(4):
+        level = lane % 2
+        assert seen[lane][0] == {}
+        assert seen[lane][1:] == [{"y": level, "yn": 1 - level}] * 2
+        assert workloads[lane].vectors.tolist() == [[level, level]] * 3
+
+
+def test_run_drivers_rejects_unknown_inputs(tiny_netlist):
+    from repro.utils.errors import SimulationError
+
+    drivers = [lambda cycle, outputs: {"a": 1},
+               lambda cycle, outputs: {"a": 1, "bogus_pin": 1}]
+    with pytest.raises(SimulationError, match="unknown input 'bogus_pin'"):
+        BitParallelSimulator(tiny_netlist).run_drivers(
+            drivers, 3, ["ok", "bad"]
+        )
+
+
 def faulty_netlist_outputs(netlist, gate_index, stuck_at, workload):
     """Scalar simulation with one gate's function replaced by a tie —
     the independent reference for fault semantics.  The stuck value

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import main
+
+SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 
 def test_designs_command(capsys):
@@ -10,6 +18,30 @@ def test_designs_command(capsys):
     out = capsys.readouterr().out
     assert "sdram_controller" in out
     assert "or1200_icfsm" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import repro"],
+    ["-m", "repro", "designs"],
+])
+def test_startup_does_not_import_scipy_stats(argv):
+    # scipy.stats costs about a second of import time; only the
+    # functions that need it may pull it in.  ``-X importtime`` lists
+    # every module the fresh interpreter imported on stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "repro" in imported
+    assert "scipy.stats" not in imported
 
 
 def test_verilog_command_stdout(capsys):

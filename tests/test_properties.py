@@ -69,6 +69,46 @@ def test_scalar_and_bitparallel_agree(params):
     assert np.array_equal(scalar, packed)
 
 
+def reactive_driver(input_names, seed):
+    """A closed-loop driver whose stimulus depends on the outputs it
+    observes: random bits XOR the parity of the last cycle's outputs
+    (so a lane fed another lane's outputs records different vectors),
+    with some inputs left out to exercise the 0 default."""
+    rng = np.random.default_rng(seed)
+
+    def driver(cycle, outputs):
+        parity = sum(outputs.values()) & 1
+        return {
+            name: int(rng.random() < 0.5) ^ parity
+            for name in input_names if rng.random() < 0.8
+        }
+    return driver
+
+
+@SLOW
+@given(netlist_params, st.integers(min_value=1, max_value=70),
+       st.integers(min_value=0, max_value=12))
+def test_run_drivers_match_scalar_run_driver(params, n_drivers, cycles):
+    n_inputs, n_gates, n_flops, n_outputs, seed = params
+    netlist = random_netlist(n_inputs, n_gates, n_flops, n_outputs,
+                             seed=seed)
+    names = [f"d{lane}" for lane in range(n_drivers)]
+    inputs = netlist.input_names()
+    packed = BitParallelSimulator(netlist).run_drivers(
+        [reactive_driver(inputs, (seed, lane))
+         for lane in range(n_drivers)],
+        cycles, names,
+    )
+    assert [workload.name for workload in packed] == names
+    for lane, workload in enumerate(packed):
+        scalar = Simulator(netlist).run_driver(
+            reactive_driver(inputs, (seed, lane)), cycles,
+            name=names[lane],
+        )
+        assert workload.input_names == scalar.input_names
+        assert np.array_equal(workload.vectors, scalar.vectors)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)),
