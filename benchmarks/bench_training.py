@@ -3,14 +3,15 @@
 The compiled workspace (preallocated activation/gradient buffers,
 direct ``sparsetools`` kernels, packed single-buffer optimizer state,
 monitor-forward prefix reuse) trains the Table-1 classifier bitwise
-identically to the generic module path; fast-math mode adds
-operand-order selection and first-layer propagation caching on top.
-This benchmark commits the headline claim in machine-readable form:
-``results/BENCH_training.json`` records interleaved best-of-N wall
-clocks for all three paths on or1200_if, asserts the engine's exact
-mode reproduced the module path's history and weights bit for bit, and
-asserts the fast-math acceptance bar — >= 2x over the module path on a
-single core.  The pre-rewrite wall clocks measured at the commit that
+identically to the historical module-by-module implementation, kept
+frozen in ``tests/_reference_nn`` (the ``module`` baseline here);
+fast-math mode adds operand-order selection and first-layer
+propagation caching on top.  This benchmark commits the headline claim
+in machine-readable form: ``results/BENCH_training.json`` records
+interleaved best-of-N wall clocks for all three paths on or1200_if,
+asserts the engine's exact mode reproduced the reference trainer's
+history and weights bit for bit, and asserts the fast-math acceptance
+bar — >= 2x over the module path on a single core.  The pre-rewrite wall clocks measured at the commit that
 introduced the engine are frozen in ``SEED_REFERENCE`` so later
 regressions show up as a ratio.
 
@@ -48,8 +49,8 @@ REPEATS = 9
 #: forward/backward, per-parameter optimizer loop) measured on this
 #: suite at the commit that introduced the engine.  Frozen so the
 #: committed artifact keeps a stable denominator across later engine
-#: work; the asserted bar uses the live interleaved module path, which
-#: is immune to host drift between measurement batches.
+#: work; the asserted bar uses the interleaved reference module path,
+#: which is immune to host drift between measurement batches.
 SEED_REFERENCE = {
     "design": "or1200_if",
     "classifier_epochs": 300,
@@ -78,32 +79,63 @@ def _case():
     return netlist, x, a_norm, y, train_mask, ~train_mask
 
 
+def _reference_stack(in_features, a_norm):
+    """The Table-1 classifier ``build_gcn_stack`` returns, assembled
+    from the frozen reference modules (same initial weights)."""
+    from repro.models.gcn import (
+        DEFAULT_DROPOUT,
+        DEFAULT_HIDDEN_DIMS,
+        DROPOUT_AFTER_LAYER,
+    )
+    from repro.utils.rng import derive_rng
+    from tests._reference_nn import ref_modules as rm
+
+    rng = derive_rng(0, "gcn-init")
+    modules = []
+    previous = in_features
+    for position, width in enumerate(DEFAULT_HIDDEN_DIMS):
+        modules.append(rm.GCNConv(previous, width, a_norm, seed=rng))
+        modules.append(rm.ReLU())
+        if position + 1 == DROPOUT_AFTER_LAYER:
+            modules.append(rm.Dropout(DEFAULT_DROPOUT, seed=rng))
+        previous = width
+    modules.append(rm.GCNConv(previous, 2, a_norm, seed=rng))
+    modules.append(rm.LogSoftmax())
+    return rm.Sequential(*modules)
+
+
 def run_benchmark(epochs=EPOCHS, repeats=REPEATS, smoke=False):
     """Measure the three training paths, assemble the payload."""
     from repro.models.gcn import build_gcn_stack
     from repro.nn import TrainingConfig, train_classifier
     from repro.nn.engine import PropagationCache
     from repro.nn.gridsearch import grid_search
+    from tests._reference_nn import ref_training
 
     netlist, x, a_norm, y, train_mask, val_mask = _case()
     in_features = x.shape[1]
     cache = PropagationCache()
 
     configs = {
-        "module": TrainingConfig(epochs=epochs, patience=0,
-                                 engine="module"),
+        "module": ref_training.TrainingConfig(epochs=epochs, patience=0),
         "engine_exact": TrainingConfig(epochs=epochs, patience=0),
         "engine_fast": TrainingConfig(epochs=epochs, patience=0,
                                       fast_math=True),
     }
 
     def run_once(name):
-        model = build_gcn_stack(in_features, 2, a_norm)
-        started = time.perf_counter()
-        history = train_classifier(
-            model, x, y, train_mask, val_mask, configs[name],
-            cache=cache if name == "engine_fast" else None,
-        )
+        if name == "module":
+            model = _reference_stack(in_features, a_norm)
+            started = time.perf_counter()
+            history = ref_training.train_classifier(
+                model, x, y, train_mask, val_mask, configs[name])
+        else:
+            model = build_gcn_stack(in_features, 2, a_norm)
+            started = time.perf_counter()
+            history = train_classifier(
+                model, x, y, train_mask, val_mask, configs[name],
+                cache=cache if name == "engine_fast" else None,
+            )
         return time.perf_counter() - started, history, model
 
     # Warmup primes numpy/scipy code paths and the propagation cache
@@ -120,7 +152,7 @@ def run_benchmark(epochs=EPOCHS, repeats=REPEATS, smoke=False):
                 best[name] = elapsed
 
     # Bitwise guard: the engine's exact mode must have reproduced the
-    # module path's history and final weights exactly.
+    # reference module path's history and final weights exactly.
     _, module_history, module_model = runs["module"]
     _, engine_history, engine_model = runs["engine_exact"]
     bitwise = (
@@ -210,8 +242,8 @@ def main(argv=None) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if not payload["bitwise_identical"]:
-        print("FAIL: engine history/weights differ from the module "
-              "path", file=sys.stderr)
+        print("FAIL: engine history/weights differ from the reference "
+              "module path", file=sys.stderr)
         return 1
     if not args.smoke:
         if payload["speedup"] < 2.0:
@@ -226,5 +258,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # The checkout root provides ``tests._reference_nn``.
+    sys.path.insert(0, str(Path(__file__).parent.parent))
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
     sys.exit(main())

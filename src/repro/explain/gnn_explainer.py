@@ -8,9 +8,14 @@ predicted class under the masked graph/features, plus size and entropy
 regularizers that push the masks toward small, crisp explanations.
 
 The optimization runs on a *functional* re-execution of the trained
-stack (:func:`repro.nn.modules.functional_plan`) so mask gradients flow
-through the shared adjacency of every GCN layer — the trained weights
-themselves stay frozen.
+stack (:func:`_functional_plan`) so mask gradients flow through the
+shared adjacency of every GCN layer — the trained weights themselves
+stay frozen.  This masked-gradient kernel is deliberately separate from
+the compiled training engine (:mod:`repro.nn.engine`): it
+differentiates with respect to adjacency entries and input masks over
+hop-restricted rows, and its per-slice 3-D matmuls are what keep
+batched results bitwise identical to single-node runs (flattening them
+into one 2-D GEMM changes the rounding for some shapes).
 
 Engine layout (the §3.5 all-nodes aggregation explains *every* gate,
 so this is a throughput-critical path):
@@ -57,9 +62,9 @@ import scipy.sparse as sp
 
 from repro.graph.data import GraphData
 from repro.models.gcn import GCNClassifier
-from repro.nn.modules import functional_plan
+from repro.nn.modules import Dropout, GCNConv, LogSoftmax, ReLU, Sequential
 from repro.utils.errors import ModelError
-from repro.utils.parallel import fork_context, map_in_forks, resolve_jobs
+from repro.utils.parallel import fork_context, resolve_jobs
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.workerpool import PoolPolicy, WorkerPool
 
@@ -109,6 +114,32 @@ class Explanation:
     def top_edges(self, count: int = 10) -> List[Tuple[int, int, float]]:
         """Highest-weight subgraph edges."""
         return sorted(self.edge_importance, key=lambda e: -e[2])[:count]
+
+
+def _functional_plan(model: Sequential) -> List[tuple]:
+    """Functional description of a trained GCN stack.
+
+    One tuple per layer — ``("gcn", weight, bias)``, ``("relu",)``,
+    ``("identity",)`` (dropout at inference) or ``("logsoftmax",)`` —
+    referencing the live parameter arrays, so the mask optimizer can
+    re-execute the stack under a masked subgraph's propagation matrix.
+    """
+    plan: List[tuple] = []
+    for module in model.modules:
+        if isinstance(module, GCNConv):
+            bias = module.bias.value if module.bias is not None else None
+            plan.append(("gcn", module.weight.value, bias))
+        elif isinstance(module, ReLU):
+            plan.append(("relu",))
+        elif isinstance(module, Dropout):
+            plan.append(("identity",))
+        elif isinstance(module, LogSoftmax):
+            plan.append(("logsoftmax",))
+        else:
+            raise ModelError(
+                f"no functional plan for layer {type(module).__name__}"
+            )
+    return plan
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
@@ -653,7 +684,7 @@ class GNNExplainer:
         self.config = config or ExplainerConfig()
         self.seed = seed
         self.batch_size = batch_size
-        self._plan = functional_plan(classifier.model)
+        self._plan = _functional_plan(classifier.model)
         self._n_hops = sum(1 for layer in self._plan
                            if layer[0] == "gcn")
         # Stage-constant products, computed once per explainer: the
@@ -755,8 +786,6 @@ class GNNExplainer:
         instead of a bare ``BrokenProcessPool``.  Results are bitwise
         identical for every configuration.
         """
-        global _WORKER_EXPLAINER
-
         if batch_size is None:
             batch_size = self.batch_size
         if batch_size < 1:
@@ -782,12 +811,7 @@ class GNNExplainer:
                  for batch in batches]
         if (resolve_jobs(jobs) <= 1 or len(units) <= 1
                 or fork_context() is None):
-            # Supervision-free fallback: same per-unit code in-process.
-            _WORKER_EXPLAINER = self
-            try:
-                outcomes = map_in_forks(_worker_batch, units, jobs)
-            finally:
-                _WORKER_EXPLAINER = None
+            outcomes = [self._explain_batch(unit) for unit in units]
         else:
             outcomes = self._pooled_batches(
                 units, jobs, max_worker_restarts, heartbeat_interval,

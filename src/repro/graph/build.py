@@ -8,7 +8,6 @@ inputs/outputs are not nodes (the paper's nodes are netlist gates).
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.netlist.netlist import Netlist
@@ -50,12 +49,16 @@ def undirected_edges(edge_index: np.ndarray) -> np.ndarray:
     return both[:, keep]
 
 
-def netlist_to_networkx(netlist: Netlist) -> nx.DiGraph:
+def netlist_to_networkx(netlist: Netlist) -> "networkx.DiGraph":
     """Directed :class:`networkx.DiGraph` view of the netlist graph.
 
     Nodes carry ``cell``, ``instance`` and ``sequential`` attributes;
     handy for visualization and for explainer subgraph extraction.
+    Needs the optional ``networkx`` dependency (``pip install
+    repro[graph]``).
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=netlist.name)
     for gate in netlist.gates:
         graph.add_node(

@@ -568,7 +568,6 @@ def load_gcn(path: PathLike, data: GraphData):
             )
         parameter.value[:] = value
     model._data = data  # noqa: SLF001 — bind for parameterless predict
-    model.model.eval()
     return model
 
 

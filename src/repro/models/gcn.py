@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from repro.graph.data import GraphData
 from repro.graph.split import Split
+from repro.nn.engine import infer
 from repro.nn.modules import (
     Dropout,
     GCNConv,
@@ -142,8 +143,7 @@ class GCNClassifier:
         """``(N, 2)`` log class probabilities for all nodes."""
         model = self._require_fitted()
         data = data if data is not None else self._data
-        model.eval()
-        return model.forward(data.x)
+        return infer(model, data.x)
 
     def predict_proba(self, data: Optional[GraphData] = None) -> np.ndarray:
         """``(N, 2)`` class probabilities for all nodes."""
@@ -192,7 +192,6 @@ class GCNClassifier:
         for target, source in zip(clone.model.parameters(),
                                   self.model.parameters()):
             target.value[:] = source.value
-        clone.model.eval()
         clone._data = data
         return clone
 
@@ -246,8 +245,7 @@ class GCNRegressor:
         if self.model is None:
             raise ModelError("predict before fit")
         data = data if data is not None else self._data
-        self.model.eval()
-        return np.clip(self.model.forward(data.x).reshape(-1), 0.0, 1.0)
+        return np.clip(infer(self.model, data.x).reshape(-1), 0.0, 1.0)
 
     def transfer_to(self, data: GraphData) -> "GCNRegressor":
         """Bind the trained weights to a *different* design's graph.
@@ -279,6 +277,5 @@ class GCNRegressor:
         for target, source in zip(clone.model.parameters(),
                                   self.model.parameters()):
             target.value[:] = source.value
-        clone.model.eval()
         clone._data = data
         return clone

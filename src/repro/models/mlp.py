@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.models.base import BaseClassifier, register_classifier
+from repro.nn.engine import infer
 from repro.nn.modules import Dropout, Linear, LogSoftmax, ReLU, Sequential
 from repro.nn.training import TrainingConfig, train_classifier
 from repro.utils.errors import ModelError
@@ -58,5 +59,4 @@ class MLPClassifier(BaseClassifier):
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         if self.model is None:
             raise ModelError("predict before fit")
-        self.model.eval()
-        return np.exp(self.model.forward(np.asarray(x, dtype=np.float64)))
+        return np.exp(infer(self.model, x))

@@ -1,10 +1,12 @@
-"""From-scratch neural-network engine (numpy): modules with explicit
-backward passes, losses, optimizers, training loops, and grid search."""
+"""From-scratch neural-network engine (numpy): parameter-container
+modules, the compiled executor that trains and runs them, losses,
+optimizers, training loops, and grid search."""
 
 from repro.nn.engine import (
     PropagationCache,
     TrainingWorkspace,
     compile_workspace,
+    infer,
 )
 from repro.nn.gridsearch import GridPoint, GridSearchResult, grid_search
 from repro.nn.init import glorot_uniform
@@ -21,7 +23,6 @@ from repro.nn.modules import (
     Sequential,
     Sigmoid,
     Tanh,
-    functional_plan,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.training import (
@@ -35,6 +36,7 @@ __all__ = [
     "PropagationCache",
     "TrainingWorkspace",
     "compile_workspace",
+    "infer",
     "GridPoint",
     "GridSearchResult",
     "grid_search",
@@ -53,7 +55,6 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "Tanh",
-    "functional_plan",
     "SGD",
     "Adam",
     "Optimizer",

@@ -1,19 +1,18 @@
-"""Zero-allocation training workspace for Sequential stacks.
+"""The compiled engine: the one executor for model stacks.
 
-:func:`repro.nn.functional_plan` (PR 5) turned a trained GCN stack into
-a reusable functional description for the explainer; this module
-extends the same idea to *training*.  :func:`compile_workspace` walks a
-:class:`~repro.nn.modules.Sequential` once, preallocates every
-activation, mask, and gradient buffer the stack will ever need, and
-binds each layer to direct scipy sparse kernels
-(``csr_matvecs``/``csc_matvecs``) writing into that reused memory — so
-a full training run performs no per-epoch allocation and no scipy
-``__matmul__`` dispatch.  The compiled forward/backward replicates the
-module implementations operation for operation: with the default
-*exact* semantics the per-epoch losses, metrics, and final weights are
-bitwise identical to :meth:`Sequential.forward`/``backward``
-(``tests/test_training_bitwise.py`` locks this against frozen
-pre-rewrite copies of the module code).
+:func:`compile_workspace` walks a :class:`~repro.nn.modules.Sequential`
+of parameter containers once, preallocates every activation, mask, and
+gradient buffer the stack will ever need, and binds each layer to
+direct scipy sparse kernels (``csr_matvecs``/``csc_matvecs``) writing
+into that reused memory — so a full training run performs no
+per-epoch allocation and no scipy ``__matmul__`` dispatch.  Training
+(:mod:`repro.nn.training`) and inference (:func:`infer`) both run
+here; the modules themselves hold state only.  The default *exact*
+semantics replicate the historical module-by-module forward/backward
+operation for operation: per-epoch losses, metrics, final weights and
+predictions are bitwise identical to that implementation, which
+survives only as the frozen oracle in ``tests/_reference_nn``
+(``tests/test_training_bitwise.py`` locks the equality).
 
 Two opt-in accelerations trade that bitwise guarantee for speed
 (``TrainingConfig(fast_math=True)``):
@@ -34,7 +33,7 @@ only in floating-point rounding (IEEE addition is not associative).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +47,7 @@ from repro.nn.modules import (
     Module,
     Parameter,
     ReLU,
+    SAGEConv,
     Sequential,
     Sigmoid,
     Tanh,
@@ -164,15 +164,14 @@ class _GCNLayer(_Layer):
 
     Forward: dense ``src @ W`` into a scratch, then one csr kernel into
     ``out``.  Backward: one csc kernel (against a transpose built once
-    at compile time — the module path re-derives ``A.T`` every call)
-    into the same scratch, then two dense products into parameter-shaped
-    scratch buffers accumulated onto the grads.
+    at compile time) into the same scratch, then two dense products
+    into parameter-shaped scratch buffers accumulated onto the grads.
     """
 
-    def __init__(self, module: GCNConv, src: np.ndarray):
+    def __init__(self, module: GCNConv, src: np.ndarray,
+                 a: sp.csr_matrix):
         super().__init__(src, module.weight.shape[1])
         self.module = module
-        a = module.a_norm
         width = self.out.shape[1]
         # Holds X W during forward, A^T G during backward (the forward
         # product is dead by then).
@@ -222,10 +221,10 @@ class _GCNLayerAX(_Layer):
     would have to re-derive with a second sparse product.
     """
 
-    def __init__(self, module: GCNConv, src: np.ndarray):
+    def __init__(self, module: GCNConv, src: np.ndarray,
+                 a: sp.csr_matrix):
         super().__init__(src, module.weight.shape[1])
         self.module = module
-        a = module.a_norm
         f_in = src.shape[1]
         self._ax = np.empty_like(src)
         self._grad_in = np.empty_like(src)
@@ -296,6 +295,63 @@ class _GCNLayerCached(_Layer):
             np.matmul(self._ones, grad, out=self._b_scratch)
             module.bias.grad += self._b_scratch
         return None
+
+
+class _SAGELayer(_Layer):
+    """``H' = H W_self + (A_mean H) W_neigh + b``, reference order.
+
+    Forward: one csr kernel for the aggregate ``A_mean H`` (kept for
+    the neighbour-weight gradient), then two dense products summed
+    into ``out``.  Backward: the input gradient is ``G W_self^T`` plus
+    one csc kernel (compile-time transpose) over ``G W_neigh^T``.
+    """
+
+    def __init__(self, module: SAGEConv, src: np.ndarray,
+                 a: sp.csr_matrix):
+        super().__init__(src, module.weight_self.shape[1])
+        self.module = module
+        f_in = src.shape[1]
+        self._aggregated = np.empty_like(src)
+        self._fwd_args = _spmm_args(a, f_in, src, self._aggregated)
+        self._neighbor = np.empty_like(self.out)
+        self._w_scratch = np.empty_like(module.weight_self.value)
+        if module.bias is not None:
+            self._b_scratch = np.empty_like(module.bias.value)
+        self._grad_neighbor = np.empty_like(src)
+        self._scattered = np.empty_like(src)
+        self._bwd_args = _spmm_args(a.T, f_in, self._grad_neighbor,
+                                    self._scattered)
+        self._grad_in = np.empty_like(src)
+
+    def forward(self, training: bool) -> None:
+        module = self.module
+        self._aggregated.fill(0.0)
+        _sparsetools.csr_matvecs(*self._fwd_args)
+        np.matmul(self.src, module.weight_self.value, out=self.out)
+        np.matmul(self._aggregated, module.weight_neighbor.value,
+                  out=self._neighbor)
+        self.out += self._neighbor
+        if module.bias is not None:
+            self.out += module.bias.value
+
+    def backward(self, grad: np.ndarray) -> Optional[np.ndarray]:
+        module = self.module
+        np.matmul(self.src.T, grad, out=self._w_scratch)
+        module.weight_self.grad += self._w_scratch
+        np.matmul(self._aggregated.T, grad, out=self._w_scratch)
+        module.weight_neighbor.grad += self._w_scratch
+        if module.bias is not None:
+            np.add.reduce(grad, axis=0, out=self._b_scratch)
+            module.bias.grad += self._b_scratch
+        if not self.need_input_grad:
+            return None
+        np.matmul(grad, module.weight_neighbor.value.T,
+                  out=self._grad_neighbor)
+        self._scattered.fill(0.0)
+        _sparsetools.csc_matvecs(*self._bwd_args)
+        np.matmul(grad, module.weight_self.value.T, out=self._grad_in)
+        self._grad_in += self._scattered
+        return self._grad_in
 
 
 class _LinearLayer(_Layer):
@@ -403,7 +459,7 @@ class _DropoutLayer(_Layer):
 
     ``Generator.random(out=...)`` consumes exactly the bits
     ``Generator.random(shape)`` would, so the engine's mask sequence is
-    identical to the module path's.
+    identical to the reference implementation's.
     """
 
     def __init__(self, module: Dropout, src: np.ndarray):
@@ -484,6 +540,7 @@ class _LogSoftmaxLayer(_Layer):
 
 _COMPILERS = {
     GCNConv: _GCNLayer,
+    SAGEConv: _SAGELayer,
     Linear: _LinearLayer,
     ReLU: _ReLULayer,
     Sigmoid: _SigmoidLayer,
@@ -507,10 +564,7 @@ class TrainingWorkspace:
     makes the shortcut bitwise-safe rather than approximate.
     """
 
-    def __init__(self, model: Sequential, x: np.ndarray,
-                 layers: List[_Layer]):
-        self.model = model
-        self.x = x
+    def __init__(self, layers: List[_Layer]):
         self.layers = layers
         self.output = layers[-1].out
         self._resume_at = next(
@@ -519,38 +573,54 @@ class TrainingWorkspace:
             len(layers),
         )
         self._eval_fresh = False
+        self._forwarded = False
 
     def forward_train(self) -> np.ndarray:
         start = self._resume_at if self._eval_fresh else 0
         for layer in self.layers[start:]:
             layer.forward(training=True)
         self._eval_fresh = False
+        self._forwarded = True
         return self.output
 
     def forward_eval(self) -> np.ndarray:
         for layer in self.layers:
             layer.forward(training=False)
         self._eval_fresh = True
+        self._forwarded = True
         return self.output
 
     def backward(self, grad: np.ndarray) -> None:
+        if not self._forwarded:
+            raise ModelError("backward before forward")
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
             if grad is None:
                 break
 
 
-def _dense_matrix(x) -> Optional[np.ndarray]:
-    if (isinstance(x, np.ndarray) and x.ndim == 2
-            and x.dtype == np.float64 and x.flags.c_contiguous):
-        return x
-    return None
+def _flatten(model: Module) -> Iterator[Module]:
+    """The stack's layers in execution order (nested stacks inlined)."""
+    if isinstance(model, Sequential):
+        for module in model.modules:
+            yield from _flatten(module)
+    else:
+        yield model
 
 
-def _usable_adjacency(a, n_nodes: int) -> bool:
-    return (sp.issparse(a) and a.format == "csr"
-            and a.shape == (n_nodes, n_nodes)
-            and a.dtype == np.float64)
+def _adjacency(module: Module, n_nodes: int) -> sp.csr_matrix:
+    """A graph layer's propagation matrix as float64 CSR of matching
+    shape (any other sparse format or a dense array is converted)."""
+    a = module.a_norm if isinstance(module, GCNConv) else module.a_mean
+    if not (sp.issparse(a) and a.format == "csr"
+            and a.dtype == np.float64):
+        a = sp.csr_matrix(a, dtype=np.float64)
+    if a.shape != (n_nodes, n_nodes):
+        raise ModelError(
+            f"{type(module).__name__} adjacency is "
+            f"{a.shape[0]}x{a.shape[1]} but x has {n_nodes} rows"
+        )
+    return a
 
 
 def compile_workspace(
@@ -558,52 +628,68 @@ def compile_workspace(
     x: np.ndarray,
     fast_math: bool = False,
     cache: Optional[PropagationCache] = None,
-) -> Optional[TrainingWorkspace]:
-    """Compile ``model`` into a :class:`TrainingWorkspace`.
+) -> TrainingWorkspace:
+    """Compile ``model`` (a :class:`Sequential` or a single layer) into
+    a :class:`TrainingWorkspace` over the node features ``x``.
 
-    Returns ``None`` when the model is not a compilable stack (not a
-    :class:`Sequential`, contains an unsupported layer such as
-    ``SAGEConv``, or the input/adjacency types don't match the kernel
-    contracts) — the caller then falls back to the generic module
-    implementation, which handles everything.
+    ``x`` is converted once to a C-ordered float64 matrix and every
+    adjacency to float64 CSR, so any array-like input works.  Raises
+    :class:`ModelError` for a layer the engine cannot execute, or when
+    a layer's input width or adjacency size does not match ``x``.
     """
-    if not isinstance(model, Sequential) or not model.modules:
-        return None
-    if _dense_matrix(x) is None:
-        return None
+    features = np.ascontiguousarray(x, dtype=np.float64)
+    if features.ndim != 2:
+        raise ModelError(
+            f"x must be a (nodes, features) matrix, got shape "
+            f"{features.shape}"
+        )
     layers: List[_Layer] = []
-    src = x
-    for position, module in enumerate(model.modules):
+    src = features
+    for module in _flatten(model):
         compiler = _COMPILERS.get(type(module))
         if compiler is None:
-            return None
-        if isinstance(module, (GCNConv, Linear)):
-            if module.weight.shape[0] != src.shape[1]:
-                return None
-            if isinstance(module, GCNConv):
-                if not _usable_adjacency(module.a_norm, src.shape[0]):
-                    return None
-                f_in, f_out = module.weight.shape
-                if fast_math and src is x and cache is not None:
-                    propagated = _dense_matrix(
-                        cache.get(module.a_norm, x)
-                    )
-                    if propagated is not None:
-                        layer = _GCNLayerCached(module, src, propagated)
-                        layers.append(layer)
-                        src = layer.out
-                        continue
-                if fast_math and f_in < f_out:
-                    compiler = _GCNLayerAX
+            raise ModelError(
+                f"the engine cannot execute layer {type(module).__name__}"
+            )
+        args = ()
+        if isinstance(module, (Linear, GCNConv, SAGEConv)):
+            f_in = module.parameters()[0].shape[0]
+            if f_in != src.shape[1]:
+                raise ModelError(
+                    f"{type(module).__name__} expects {f_in} input "
+                    f"features, got {src.shape[1]}"
+                )
+        if isinstance(module, (GCNConv, SAGEConv)):
+            args = (_adjacency(module, src.shape[0]),)
+        if fast_math and isinstance(module, GCNConv):
+            if src is features and cache is not None:
+                propagated = np.ascontiguousarray(
+                    cache.get(module.a_norm, x), dtype=np.float64
+                )
+                compiler, args = _GCNLayerCached, (propagated,)
+            elif f_in < module.weight.shape[1]:
+                compiler = _GCNLayerAX
         if fast_math and compiler is _ReLULayer:
             compiler = _ReLULayerFast
-        layer = compiler(module, src)
-        if isinstance(layer, _DropoutLayer) and src is not x:
+        layer = compiler(module, src, *args)
+        if isinstance(layer, _DropoutLayer) and src is not features:
             layer.make_inplace()
         layers.append(layer)
         src = layer.out
+    if not layers:
+        raise ModelError("cannot compile an empty model")
     layers[0].need_input_grad = False
-    return TrainingWorkspace(model, x, layers)
+    return TrainingWorkspace(layers)
+
+
+def infer(model: Module, x: np.ndarray) -> np.ndarray:
+    """Inference: one exact-mode eval forward of ``model`` on ``x``.
+
+    Compiles a fresh workspace per call, so the returned array belongs
+    to the caller.  Bitwise identical to the training loop's monitor
+    forward on the same weights.
+    """
+    return compile_workspace(model, x).forward_eval()
 
 
 class ClassifierObjective:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.engine import PropagationCache
+from repro.nn.engine import PropagationCache, infer
 from repro.nn.modules import GCNConv, Module, Sequential
 from repro.nn.training import TrainingConfig, train_classifier
 from repro.utils.errors import ModelError
@@ -133,8 +133,7 @@ def grid_search(
         if history.best_epoch >= 0:
             accuracy = history.best_val_accuracy
         else:  # zero-epoch run: score the untrained weights
-            model.eval()
-            predictions = model.forward(x).argmax(axis=1)
+            predictions = infer(model, x).argmax(axis=1)
             accuracy = float(
                 (predictions[val_mask] == targets[val_mask]).mean()
             )

@@ -4,19 +4,19 @@ Full-batch training (the whole graph per step, masked loss), Adam by
 default, early stopping on the validation metric with best-weights
 restore — the standard recipe for small-graph GCN training.
 
-Compilable :class:`~repro.nn.modules.Sequential` stacks run on the
-zero-allocation :mod:`repro.nn.engine` workspace (preallocated
-buffers, direct sparse kernels, monitor-forward prefix reuse); the
-results are bitwise identical to the generic module path, which
-remains the fallback for everything the workspace can't compile
-(e.g. ``SAGEConv`` stacks) and can be forced with
-``TrainingConfig(engine="module")``.
+Every stack trains on the zero-allocation :mod:`repro.nn.engine`
+workspace (preallocated buffers, direct sparse kernels, one packed
+optimizer parameter, monitor-forward prefix reuse).  In the default
+exact mode the histories and weights are bitwise identical to the
+historical module-by-module implementation frozen in
+``tests/_reference_nn``.  A stack the engine cannot execute raises
+:class:`~repro.utils.errors.ModelError` at compile time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from repro.nn.engine import (
     ClassifierObjective,
     PropagationCache,
     RegressorObjective,
+    TrainingWorkspace,
     compile_workspace,
     pack_parameters,
 )
-from repro.nn.losses import mse_loss, nll_loss
 from repro.nn.modules import Module
 from repro.nn.optim import Adam, Optimizer, SGD
 from repro.utils.errors import ModelError
@@ -44,10 +44,6 @@ class TrainingConfig:
     patience: int = 60          # early-stopping patience (0 disables)
     class_weights: bool = True  # balance NLL by inverse class frequency
     verbose: bool = False
-    #: "auto" compiles supported stacks onto the zero-allocation
-    #: engine workspace; "module" forces the generic module path.
-    #: Both produce bitwise-identical histories and weights.
-    engine: str = "auto"
     #: Opt in to operand-order selection and first-layer propagation
     #: caching in GCN layers.  Algebraically exact but *not* bitwise
     #: identical to the default (float addition is not associative).
@@ -128,23 +124,31 @@ class _BestWeights:
 
 def _run_epochs(
     model: Module,
-    optimizer: Optimizer,
     config: TrainingConfig,
-    history: TrainingHistory,
-    train_step: Callable[[], float],
+    workspace: TrainingWorkspace,
+    objective,
     monitor_step: Callable[[], tuple],
     verbose_line: Callable[[int, float, float], str],
 ) -> TrainingHistory:
     """The shared epoch skeleton: step, monitor, early-stop, restore.
 
-    ``train_step`` runs one forward/backward and returns the training
-    loss; ``monitor_step`` returns ``(metric, accuracy_or_nan)``.  The
-    engine and module paths differ only in those two callables.
+    Each epoch runs one train forward/backward against ``objective``
+    (a :class:`~repro.nn.engine.ClassifierObjective` or
+    :class:`~repro.nn.engine.RegressorObjective`) and one optimizer
+    step; ``monitor_step`` then returns ``(metric, accuracy_or_nan)``.
     """
+    # The optimizer steps all parameters as one packed flat pair
+    # (elementwise updates: bitwise identical, one fused pass instead
+    # of a per-parameter loop).
+    optimizer = config.build_optimizer(pack_parameters(model))
+    history = TrainingHistory()
     best = _BestWeights(model)
     stale = 0
     for epoch in range(config.epochs):
-        loss = train_step()
+        optimizer.zero_grad()
+        workspace.forward_train()
+        loss = objective.train_loss()
+        workspace.backward(objective.grad)
         best.before_step()
         optimizer.step()
 
@@ -166,18 +170,7 @@ def _run_epochs(
                 break
 
     best.restore()
-    model.eval()
     return history
-
-
-def _compile(model: Module, x: np.ndarray, config: TrainingConfig,
-             cache: Optional[PropagationCache]):
-    if config.engine == "module":
-        return None
-    if config.engine != "auto":
-        raise ModelError(f"unknown engine {config.engine!r}")
-    return compile_workspace(model, x, fast_math=config.fast_math,
-                             cache=cache)
 
 
 def train_classifier(
@@ -198,7 +191,6 @@ def train_classifier(
     engine's fast-math first layer).
     """
     config = config or TrainingConfig()
-    history = TrainingHistory()
     monitor_mask = val_mask if val_mask is not None else train_mask
 
     class_weights = None
@@ -207,58 +199,24 @@ def train_classifier(
         counts[counts == 0.0] = 1.0
         class_weights = counts.sum() / (len(counts) * counts)
 
-    workspace = _compile(model, x, config, cache)
-    # On the engine path the optimizer steps all parameters as one
-    # packed flat pair (elementwise updates: bitwise identical, one
-    # fused pass instead of a per-parameter loop).
-    optimizer = config.build_optimizer(
-        pack_parameters(model) if workspace is not None else model
+    workspace = compile_workspace(model, x, fast_math=config.fast_math,
+                                  cache=cache)
+    objective = ClassifierObjective(
+        workspace.output, targets, train_mask, monitor_mask,
+        class_weights, fast=config.fast_math,
     )
-    if workspace is not None:
-        objective = ClassifierObjective(
-            workspace.output, targets, train_mask, monitor_mask,
-            class_weights, fast=config.fast_math,
-        )
 
-        def train_step() -> float:
-            optimizer.zero_grad()
-            workspace.forward_train()
-            loss = objective.train_loss()
-            workspace.backward(objective.grad)
-            return loss
-
-        def monitor_step():
-            workspace.forward_eval()
-            accuracy = objective.monitor_accuracy()
-            # Early-stopping metric: accuracy with an NLL tie-breaker,
-            # so among equally-accurate epochs the best-calibrated one
-            # wins (this keeps probability rankings — and hence
-            # ROC/AUC — faithful, not just the argmax).
-            return accuracy - 0.1 * objective.monitor_loss(), accuracy
-
-    else:
-        def train_step() -> float:
-            model.train()
-            optimizer.zero_grad()
-            log_probs = model.forward(x)
-            loss, grad = nll_loss(log_probs, targets, mask=train_mask,
-                                  class_weights=class_weights)
-            model.backward(grad)
-            return loss
-
-        def monitor_step():
-            model.eval()
-            monitored = model.forward(x)
-            predictions = monitored.argmax(axis=1)
-            accuracy = float(
-                (predictions[monitor_mask] == targets[monitor_mask]).mean()
-            )
-            monitor_loss, _ = nll_loss(monitored, targets,
-                                       mask=monitor_mask)
-            return accuracy - 0.1 * monitor_loss, accuracy
+    def monitor_step():
+        workspace.forward_eval()
+        accuracy = objective.monitor_accuracy()
+        # Early-stopping metric: accuracy with an NLL tie-breaker, so
+        # among equally-accurate epochs the best-calibrated one wins
+        # (this keeps probability rankings — and hence ROC/AUC —
+        # faithful, not just the argmax).
+        return accuracy - 0.1 * objective.monitor_loss(), accuracy
 
     return _run_epochs(
-        model, optimizer, config, history, train_step, monitor_step,
+        model, config, workspace, objective, monitor_step,
         lambda epoch, loss, metric:
             f"epoch {epoch:4d}  loss {loss:.4f}  val {metric:.4f}",
     )
@@ -279,47 +237,20 @@ def train_regressor(
     stopping shares the classifier's logic).
     """
     config = config or TrainingConfig()
-    history = TrainingHistory()
     monitor_mask = val_mask if val_mask is not None else train_mask
 
-    workspace = _compile(model, x, config, cache)
-    optimizer = config.build_optimizer(
-        pack_parameters(model) if workspace is not None else model
+    workspace = compile_workspace(model, x, fast_math=config.fast_math,
+                                  cache=cache)
+    objective = RegressorObjective(
+        workspace.output, targets, train_mask, monitor_mask
     )
-    if workspace is not None:
-        objective = RegressorObjective(
-            workspace.output, targets, train_mask, monitor_mask
-        )
 
-        def train_step() -> float:
-            optimizer.zero_grad()
-            workspace.forward_train()
-            loss = objective.train_loss()
-            workspace.backward(objective.grad)
-            return loss
-
-        def monitor_step():
-            workspace.forward_eval()
-            return -objective.monitor_loss(), float("nan")
-
-    else:
-        def train_step() -> float:
-            model.train()
-            optimizer.zero_grad()
-            predictions = model.forward(x)
-            loss, grad = mse_loss(predictions, targets, mask=train_mask)
-            model.backward(grad)
-            return loss
-
-        def monitor_step():
-            model.eval()
-            predictions = model.forward(x).reshape(-1)
-            val_loss, _ = mse_loss(predictions, targets,
-                                   mask=monitor_mask)
-            return -val_loss, float("nan")
+    def monitor_step():
+        workspace.forward_eval()
+        return -objective.monitor_loss(), float("nan")
 
     return _run_epochs(
-        model, optimizer, config, history, train_step, monitor_step,
+        model, config, workspace, objective, monitor_step,
         lambda epoch, loss, metric:
             f"epoch {epoch:4d}  loss {loss:.5f}  val-mse {-metric:.5f}",
     )

@@ -44,6 +44,15 @@ def _write_json(payload: dict) -> Callable:
     return writer
 
 
+def _training_params(config) -> dict:
+    """A :class:`~repro.nn.training.TrainingConfig`'s key parameters.
+
+    Model keys have always hashed ``"engine": "auto"`` from a since
+    removed config field; pinning it keeps existing stores valid.
+    """
+    return {**asdict(config), "engine": "auto"}
+
+
 def _read_json(path) -> dict:
     import json
 
@@ -296,7 +305,7 @@ class AnalysisMemo:
             adjacency_mode=config.adjacency_mode,
             self_loops=config.self_loops, seed=config.seed,
             val_fraction=config.val_fraction,
-            training=asdict(config.training),
+            training=_training_params(config.training),
         ))
 
     def regressor_key(self) -> str:
@@ -307,7 +316,7 @@ class AnalysisMemo:
             adjacency_mode=config.adjacency_mode,
             self_loops=config.self_loops, seed=config.seed,
             val_fraction=config.val_fraction,
-            training=asdict(config.regressor_training),
+            training=_training_params(config.regressor_training),
         ))
 
     # -- stages --------------------------------------------------------

@@ -41,24 +41,6 @@ class EcoError(CampaignError):
     ground truth."""
 
 
-class WorkerCrashError(CampaignError):
-    """A fan-out worker process died (segfault, OOM kill) instead of
-    returning its unit.
-
-    Carries the identity of the unit whose worker died
-    (``unit_index``) and the results harvested from units that *did*
-    complete before the failure (``completed``, mapping unit index to
-    result) — a crash must never silently discard finished siblings.
-    """
-
-    def __init__(self, message: str, *,
-                 unit_index: "int | None" = None,
-                 completed: "dict | None" = None) -> None:
-        super().__init__(message)
-        self.unit_index = unit_index
-        self.completed = dict(completed or {})
-
-
 class SerializationError(ReproError):
     """Raised when a persisted artifact (campaign archive, dataset,
     checkpoint) is corrupt, truncated, or internally inconsistent."""

@@ -1,8 +1,8 @@
 """Supervised persistent fork worker pool for campaign/explainer fan-out.
 
-``ProcessPoolExecutor`` cost this project its parallel speedup twice
-over (``BENCH_campaign.json``/``BENCH_explain.json`` committed 0.85x /
-0.86x): per-call pools re-fork for every map, pay the executor's
+The stdlib process-pool executor cost this project its parallel
+speedup twice over (``BENCH_campaign.json``/``BENCH_explain.json``
+committed 0.85x / 0.86x): per-call pools re-fork for every map, pay the executor's
 management threads and queue pickling per unit, and — worse for a
 multi-hour FI campaign — a single worker death surfaces as a bare
 ``BrokenProcessPool`` that discards every completed-but-unreturned

@@ -42,6 +42,9 @@ def test_startup_does_not_import_scipy_stats(argv):
                 if line.startswith("import time:")]
     assert "repro" in imported
     assert "scipy.stats" not in imported
+    # networkx is an optional dependency (the ``graph`` extra), used
+    # only by ``netlist_to_networkx``.
+    assert "networkx" not in imported
 
 
 def test_verilog_command_stdout(capsys):

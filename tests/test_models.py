@@ -244,6 +244,35 @@ def test_gcn_transfer_to_other_graph():
         model.transfer_to(reduced)
 
 
+def test_inference_on_foreign_features_raises_model_error():
+    """Predicting on a matrix or graph the model was not trained on
+    raises a typed error naming both sizes, not a raw numpy/scipy
+    shape error."""
+    from repro.models.mlp import MLPClassifier
+
+    data = synthetic_graph(n=60, seed=0)
+    split = stratified_split(data.y_class, 0.25, seed=1)
+    config = TrainingConfig(epochs=5)
+    classifier = GCNClassifier(config=config).fit(data, split)
+    regressor = GCNRegressor(config=config).fit(data, split)
+    mlp = MLPClassifier(config=config).fit(data.x, data.y_class)
+
+    narrow = data.subset_features(["f0", "f1", "f2"])
+    for predict in (lambda: classifier.log_probs(narrow),
+                    lambda: regressor.predict(narrow),
+                    lambda: mlp.predict_proba(narrow.x)):
+        with pytest.raises(ModelError,
+                           match="expects 4 input features, got 3"):
+            predict()
+
+    other_graph = synthetic_graph(n=45, seed=9)
+    for predict in (lambda: classifier.log_probs(other_graph),
+                    lambda: regressor.predict(other_graph)):
+        with pytest.raises(ModelError,
+                           match="adjacency is 60x60 but x has 45 rows"):
+            predict()
+
+
 def test_sage_classifier_learns():
     """The GraphSAGE variant trains and predicts on graph data."""
     data = synthetic_graph(n=80, seed=2)

@@ -1,5 +1,5 @@
-"""Tests for the numpy NN engine: gradients, losses, optimizers,
-training loops, and grid search."""
+"""Tests for the numpy NN engine: compiled-layer gradients, losses,
+optimizers, training loops, and grid search."""
 
 import numpy as np
 import pytest
@@ -14,14 +14,17 @@ from repro.nn import (
     LogSoftmax,
     Parameter,
     ReLU,
+    SAGEConv,
     SGD,
     Sequential,
     Sigmoid,
     Tanh,
     TrainingConfig,
     bce_with_logits,
+    compile_workspace,
     glorot_uniform,
     grid_search,
+    infer,
     mse_loss,
     nll_loss,
     train_classifier,
@@ -45,6 +48,39 @@ def numeric_gradient(loss_fn, parameter, eps=1e-6):
     return grad
 
 
+def check_gradients(model, x, loss_and_grad):
+    """The compiled workspace's backward must match central differences
+    of its own (eval-mode) forward for every parameter."""
+    workspace = compile_workspace(model, x)
+
+    def loss_fn():
+        return loss_and_grad(workspace.forward_eval())[0]
+
+    for parameter in model.parameters():
+        parameter.zero_grad()
+    _, grad = loss_and_grad(workspace.forward_eval())
+    workspace.backward(grad)
+    for parameter in model.parameters():
+        numeric = numeric_gradient(loss_fn, parameter)
+        assert np.allclose(parameter.grad, numeric, atol=1e-5), (
+            parameter.shape
+        )
+
+
+def softmax_nll(targets):
+    """NLL of a row log-softmax, differentiated through the softmax."""
+    def loss_and_grad(out):
+        log_probs = out - np.log(np.exp(out).sum(axis=1, keepdims=True))
+        loss, grad = nll_loss(log_probs, targets)
+        softmax = np.exp(log_probs)
+        return loss, grad - softmax * grad.sum(axis=1, keepdims=True)
+    return loss_and_grad
+
+
+def mean_square(out):
+    return float((out ** 2).mean()), 2 * out / out.size
+
+
 @pytest.mark.parametrize("layer_builder,input_shape", [
     (lambda: Linear(4, 3, seed=1), (6, 4)),
     (lambda: Sequential(Linear(4, 5, seed=1), ReLU(),
@@ -59,33 +95,9 @@ def test_layer_gradients(layer_builder, input_shape):
     model = layer_builder()
     x = rng.normal(size=input_shape)
     targets = rng.integers(0, 2, input_shape[0])
-
-    def loss_fn():
-        out = model.forward(x)
-        if out.shape[1] == 2:
-            log_probs = out - np.log(
-                np.exp(out).sum(axis=1, keepdims=True)
-            )
-            return nll_loss(log_probs, targets)[0]
-        return float((out ** 2).mean())
-
-    model.eval()
-    out = model.forward(x)
-    if out.shape[1] == 2:
-        log_probs = out - np.log(np.exp(out).sum(axis=1, keepdims=True))
-        _, grad = nll_loss(log_probs, targets)
-        softmax = np.exp(log_probs)
-        grad = grad - softmax * grad.sum(axis=1, keepdims=True)
-    else:
-        grad = 2 * out / out.size
-    model.zero_grad()
-    model.backward(grad)
-
-    for parameter in model.parameters():
-        numeric = numeric_gradient(loss_fn, parameter)
-        assert np.allclose(parameter.grad, numeric, atol=1e-5), (
-            parameter.shape
-        )
+    width = model.parameters()[-1].shape[0]
+    check_gradients(model, x,
+                    softmax_nll(targets) if width == 2 else mean_square)
 
 
 def test_gcnconv_gradient():
@@ -98,36 +110,39 @@ def test_gcnconv_gradient():
     )
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 2, 5)
+    check_gradients(model, x, lambda out: nll_loss(out, y))
 
-    def loss_fn():
-        return nll_loss(model.forward(x), y)[0]
 
-    _, grad = nll_loss(model.forward(x), y)
-    model.zero_grad()
-    model.backward(grad)
-    for parameter in model.parameters():
-        numeric = numeric_gradient(loss_fn, parameter)
-        assert np.allclose(parameter.grad, numeric, atol=1e-5)
+def test_sageconv_gradient():
+    rng = np.random.default_rng(2)
+    edges = np.array([[0, 1, 2, 3, 0], [1, 2, 3, 4, 4]])
+    a_mean = normalized_adjacency(edges, 5, mode="row",
+                                  self_loops=False)
+    model = Sequential(
+        SAGEConv(3, 4, a_mean, seed=0), ReLU(),
+        SAGEConv(4, 2, a_mean, seed=1), LogSoftmax(),
+    )
+    x = rng.normal(size=(5, 3))
+    y = rng.integers(0, 2, 5)
+    check_gradients(model, x, lambda out: nll_loss(out, y))
 
 
 def test_logsoftmax_rows_normalize():
-    layer = LogSoftmax()
-    out = layer.forward(np.array([[1.0, 2.0, 3.0], [100.0, 100.0, 100.0]]))
+    out = infer(LogSoftmax(),
+                np.array([[1.0, 2.0, 3.0], [100.0, 100.0, 100.0]]))
     assert np.allclose(np.exp(out).sum(axis=1), 1.0)
 
 
 def test_dropout_modes():
-    layer = Dropout(0.5, seed=0)
     x = np.ones((200, 10))
-    layer.eval()
-    assert np.array_equal(layer.forward(x), x)
-    layer.train()
-    out = layer.forward(x)
+    workspace = compile_workspace(Dropout(0.5, seed=0), x)
+    assert np.array_equal(workspace.forward_eval(), x)
+    out = workspace.forward_train()
     kept = out > 0
     assert 0.3 < kept.mean() < 0.7
     assert np.allclose(out[kept], 2.0)  # inverted scaling
     # Backward applies the same mask.
-    grad = layer.backward(np.ones_like(x))
+    grad = workspace.layers[0].backward(np.ones_like(x))
     assert np.array_equal(grad > 0, kept)
 
 
@@ -137,9 +152,9 @@ def test_dropout_validation():
 
 
 def test_backward_before_forward():
-    layer = Linear(2, 2)
+    workspace = compile_workspace(Linear(2, 2), np.zeros((1, 2)))
     with pytest.raises(ModelError):
-        layer.backward(np.zeros((1, 2)))
+        workspace.backward(np.zeros((1, 2)))
 
 
 def test_glorot_bounds():
@@ -250,7 +265,7 @@ def test_train_classifier_learns():
         model, x, y, mask, None,
         TrainingConfig(epochs=200, lr=0.05, patience=0),
     )
-    predictions = model.forward(x).argmax(axis=1)
+    predictions = infer(model, x).argmax(axis=1)
     assert (predictions == y).mean() > 0.95
     assert history.train_loss[-1] < history.train_loss[0]
 
@@ -267,7 +282,7 @@ def test_train_classifier_early_stopping_restores_best():
     )
     # Restored weights reproduce the best recorded monitor metric
     # (accuracy with the NLL tie-breaker).
-    log_probs = model.forward(x)
+    log_probs = infer(model, x)
     accuracy = (log_probs.argmax(axis=1)[~train_mask]
                 == y[~train_mask]).mean()
     val_loss, _ = nll_loss(log_probs, y, mask=~train_mask)
@@ -318,7 +333,7 @@ def test_train_regressor_learns():
     mask = np.ones(len(y), dtype=bool)
     train_regressor(model, x, y, mask, None,
                     TrainingConfig(epochs=300, lr=0.02, patience=0))
-    predictions = model.forward(x).reshape(-1)
+    predictions = infer(model, x).reshape(-1)
     assert np.corrcoef(predictions, y)[0, 1] > 0.95
 
 

@@ -122,6 +122,30 @@ class TestFingerprints:
         assert K.dataset_key(campaign_one, threshold=0.5) != \
             K.dataset_key(campaign_two, threshold=0.5)
 
+    def test_model_keys_stable_for_existing_stores(self):
+        """Trained-model keys hash the training config; they must keep
+        the digests stores were populated with (these values were
+        produced when ``TrainingConfig`` still had an ``engine``
+        field), so existing stores keep hitting."""
+        from repro.nn import TrainingConfig
+        from repro.store.memo import _training_params
+
+        params = dict(hidden_dims=(16, 32, 64), dropout=0.3,
+                      adjacency_mode="symmetric", self_loops=True,
+                      seed=0, val_fraction=0.2)
+        assert K.classifier_key(
+            "0" * 64, training=_training_params(TrainingConfig()),
+            **params,
+        ) == ("14748fccc56a7fdbbe95003097a56ce2"
+              "364dfa5e24d722bf599c8504ec223cd5")
+        assert K.regressor_key(
+            "0" * 64,
+            training=_training_params(TrainingConfig(lr=0.005,
+                                                     epochs=400)),
+            **params,
+        ) == ("9919c64dc88b924816e8999dd15c7301"
+              "dc2b5eb7e007ba5a0252fa82de888d64")
+
 
 # ----------------------------------------------------------------------
 # store mechanics

@@ -8,7 +8,9 @@ ground truth is ``tests/_reference_nn`` — frozen pre-rewrite copies of
 ``modules``/``optim``/``training``/``gridsearch`` (see that package's
 docstring) — exercised here on built-in designs and randomized
 circuits, for both optimizers, with and without dropout, for the
-regressor, and through serial and pooled grid search.
+regressor, for GraphSAGE stacks, through serial and pooled grid
+search, and for inference (``repro.nn.infer`` behind the model
+wrappers' predictions).
 """
 
 import numpy as np
@@ -16,10 +18,24 @@ import pytest
 
 from repro.circuits import build_or1200_icfsm, build_or1200_if, random_netlist
 from repro.features.extract import extract_features
+from repro.graph import GraphData, stratified_split
 from repro.graph.adjacency import normalized_adjacency
 from repro.graph.build import netlist_edges
-from repro.models.gcn import DROPOUT_AFTER_LAYER, build_gcn_stack
-from repro.nn import TrainingConfig, train_classifier, train_regressor
+from repro.models.gcn import (
+    DROPOUT_AFTER_LAYER,
+    GCNClassifier,
+    GCNRegressor,
+    build_gcn_stack,
+)
+from repro.models.mlp import MLPClassifier
+from repro.nn import (
+    Dropout,
+    GCNConv,
+    Linear,
+    TrainingConfig,
+    train_classifier,
+    train_regressor,
+)
 from repro.nn.gridsearch import grid_search
 from repro.utils.rng import derive_rng
 
@@ -69,18 +85,19 @@ def case(request):
 
 
 def ref_stack(in_features, out_features, a_norm, hidden_dims=(16, 32, 64),
-              dropout=0.3, log_softmax=True, seed=0):
+              dropout=0.3, log_softmax=True, seed=0, conv="gcn"):
     """``build_gcn_stack`` mirrored onto the frozen reference modules."""
+    layer = rm.GCNConv if conv == "gcn" else rm.SAGEConv
     rng = derive_rng(seed, "gcn-init")
     modules = []
     previous = in_features
     for position, width in enumerate(hidden_dims):
-        modules.append(rm.GCNConv(previous, width, a_norm, seed=rng))
+        modules.append(layer(previous, width, a_norm, seed=rng))
         modules.append(rm.ReLU())
         if dropout > 0.0 and position + 1 == DROPOUT_AFTER_LAYER:
             modules.append(rm.Dropout(dropout, seed=rng))
         previous = width
-    modules.append(rm.GCNConv(previous, out_features, a_norm, seed=rng))
+    modules.append(layer(previous, out_features, a_norm, seed=rng))
     if log_softmax:
         modules.append(rm.LogSoftmax())
     return rm.Sequential(*modules)
@@ -136,18 +153,88 @@ def test_regressor_bitwise(case):
     assert_identical_runs(history, ref_history, model, reference)
 
 
-def test_module_engine_forced_path_bitwise(case):
-    """engine="module" (the fallback path) must equal the reference
-    too — it is the same algorithm, run through the live modules."""
+def test_sage_classifier_bitwise(case):
+    """GraphSAGE stacks train on the engine's SAGE layer bitwise
+    identically to the reference module implementation."""
     x, a_norm, y, _, train_mask, val_mask = case
-    model = build_gcn_stack(x.shape[1], 2, a_norm)
-    reference = ref_stack(x.shape[1], 2, a_norm)
-    history = train_classifier(
-        model, x, y, train_mask, val_mask,
-        TrainingConfig(epochs=80, engine="module"))
-    ref_history = ref_train_classifier(
-        reference, x, y, train_mask, val_mask, RefConfig(epochs=80))
+    # Mean aggregation over the same graph: row-normalized, no
+    # self-loops (the self path has its own weight).
+    coo = a_norm.tocoo()
+    off_diagonal = coo.row != coo.col
+    a_mean = normalized_adjacency(
+        np.stack([coo.row[off_diagonal], coo.col[off_diagonal]]),
+        x.shape[0], mode="row", self_loops=False)
+    model = build_gcn_stack(x.shape[1], 2, a_mean, conv="sage")
+    reference = ref_stack(x.shape[1], 2, a_mean, conv="sage")
+    history = train_classifier(model, x, y, train_mask, val_mask,
+                               TrainingConfig(epochs=80))
+    ref_history = ref_train_classifier(reference, x, y, train_mask,
+                                       val_mask, RefConfig(epochs=80))
     assert_identical_runs(history, ref_history, model, reference)
+
+
+# ----------------------------------------------------------------------
+# inference
+# ----------------------------------------------------------------------
+def reference_copy(model):
+    """The frozen reference modules holding ``model``'s weights, in
+    inference (eval) mode."""
+    modules = []
+    for module in model.modules:
+        if isinstance(module, GCNConv):
+            modules.append(rm.GCNConv(*module.weight.shape, module.a_norm))
+        elif isinstance(module, Linear):
+            modules.append(rm.Linear(*module.weight.shape))
+        elif isinstance(module, Dropout):
+            modules.append(rm.Dropout(module.p))
+        else:
+            modules.append(getattr(rm, type(module).__name__)())
+    reference = rm.Sequential(*modules)
+    for target, source in zip(reference.parameters(), model.parameters()):
+        target.value[:] = source.value
+    reference.eval()
+    return reference
+
+
+@pytest.fixture(scope="module",
+                params=["or1200_if", "icfsm"])
+def fitted(request):
+    """Briefly trained GCN classifier, regressor and MLP on a design."""
+    netlist = {"or1200_if": build_or1200_if,
+               "icfsm": build_or1200_icfsm}[request.param]()
+    features = extract_features(netlist, probability_source="cop")
+    rng = np.random.default_rng(7)
+    n = netlist.n_gates
+    y = (rng.random(n) < 0.25).astype(np.int64)
+    data = GraphData(
+        design=netlist.name, node_names=list(features.node_names),
+        x=features.standardized().matrix, x_raw=features.matrix,
+        edge_index=netlist_edges(netlist), y_class=y,
+        y_score=rng.random(n),
+        feature_names=list(features.feature_names))
+    split = stratified_split(y, 0.25, seed=1)
+    config = TrainingConfig(epochs=30)
+    classifier = GCNClassifier(config=config).fit(data, split)
+    regressor = GCNRegressor(config=config).fit(data, split)
+    mlp = MLPClassifier(config=config).fit(data.x[split.train_mask],
+                                           y[split.train_mask])
+    return data, classifier, regressor, mlp
+
+
+def test_inference_bitwise(fitted):
+    """Predictions equal the reference module forward on the same
+    weights, bit for bit, for every model wrapper."""
+    data, classifier, regressor, mlp = fitted
+    assert np.array_equal(
+        classifier.log_probs(),
+        reference_copy(classifier.model).forward(data.x))
+    assert np.array_equal(
+        regressor.predict(),
+        np.clip(reference_copy(regressor.model).forward(data.x)
+                .reshape(-1), 0.0, 1.0))
+    assert np.array_equal(
+        mlp.predict_proba(data.x),
+        np.exp(reference_copy(mlp.model).forward(data.x)))
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ Hypothesis-driven invariants that the bitwise suite's fixed scenarios
 cannot cover: early stopping restores exactly the best-epoch weights
 under randomized data/patience (including the patience=0,
 improvement-on-final-epoch, and zero-epoch edges), serial and pooled
-grid search rank identically, the compiled workspace tracks the module
-path bit for bit on random stacks, ``eval()`` releases cached autograd
-intermediates, and fast-math mode stays algebraically faithful.
+grid search rank identically, the compiled workspace tracks the frozen
+reference module path (``tests/_reference_nn``) bit for bit on random
+stacks, the compiler normalizes input layouts and rejects what it
+cannot run, and fast-math mode stays algebraically faithful.
 """
 
 import numpy as np
@@ -14,21 +15,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.nn as live_nn
 from repro.graph.adjacency import normalized_adjacency
 from repro.models.gcn import build_gcn_stack
 from repro.nn import (
-    Dropout,
     GCNConv,
     Linear,
     LogSoftmax,
+    Module,
     ReLU,
+    SAGEConv,
     Sequential,
     TrainingConfig,
+    infer,
     train_classifier,
     train_regressor,
 )
 from repro.nn.engine import PropagationCache, compile_workspace
 from repro.nn.gridsearch import grid_search
+from repro.utils.errors import ModelError
+
+from tests._reference_nn import ref_modules as rm
+from tests._reference_nn.ref_training import (
+    TrainingConfig as RefConfig,
+    train_classifier as ref_train_classifier,
+    train_regressor as ref_train_regressor,
+)
 
 SLOW = settings(
     max_examples=10, deadline=None,
@@ -45,12 +57,14 @@ def make_data(n, seed):
     return x, y, train_mask, ~train_mask
 
 
-def make_model(seed, dropout=0.0):
-    modules = [Linear(4, 6, seed=seed), ReLU()]
+def make_model(seed, dropout=0.0, nn=live_nn):
+    """A small MLP classifier; ``nn=rm`` builds it from the frozen
+    reference modules instead (same initial weights and RNG streams)."""
+    modules = [nn.Linear(4, 6, seed=seed), nn.ReLU()]
     if dropout > 0.0:
-        modules.append(Dropout(dropout, seed=seed + 1))
-    modules.extend([Linear(6, 2, seed=seed + 2), LogSoftmax()])
-    return Sequential(*modules)
+        modules.append(nn.Dropout(dropout, seed=seed + 1))
+    modules.extend([nn.Linear(6, 2, seed=seed + 2), nn.LogSoftmax()])
+    return nn.Sequential(*modules)
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +135,7 @@ def test_zero_epochs_leaves_initial_weights():
 
 
 # ----------------------------------------------------------------------
-# engine == module path on random stacks
+# engine == frozen reference module path on random stacks
 # ----------------------------------------------------------------------
 @SLOW
 @given(st.integers(0, 1000), st.sampled_from(["adam", "sgd"]),
@@ -130,14 +144,13 @@ def test_engine_matches_module_path(seed, optimizer, use_dropout):
     x, y, train_mask, val_mask = make_data(35, seed)
     dropout = 0.3 if use_dropout else 0.0
     engine_model = make_model(seed, dropout)
-    module_model = make_model(seed, dropout)
+    module_model = make_model(seed, dropout, nn=rm)
     config = dict(epochs=40, lr=0.05, optimizer=optimizer, patience=10)
     engine_history = train_classifier(
         engine_model, x, y, train_mask, val_mask,
         TrainingConfig(**config))
-    module_history = train_classifier(
-        module_model, x, y, train_mask, val_mask,
-        TrainingConfig(engine="module", **config))
+    module_history = ref_train_classifier(
+        module_model, x, y, train_mask, val_mask, RefConfig(**config))
     assert engine_history.train_loss == module_history.train_loss
     assert engine_history.val_metric == module_history.val_metric
     assert engine_history.best_epoch == module_history.best_epoch
@@ -154,16 +167,15 @@ def test_engine_matches_module_path_regressor(seed):
     y = 0.5 * x[:, 0] - 0.2 * x[:, 2]
     mask = np.ones(30, dtype=bool)
 
-    def build():
-        return Sequential(Linear(3, 5, seed=seed), ReLU(),
-                          Linear(5, 1, seed=seed + 1))
+    def build(nn):
+        return nn.Sequential(nn.Linear(3, 5, seed=seed), nn.ReLU(),
+                             nn.Linear(5, 1, seed=seed + 1))
 
-    a, b = build(), build()
+    a, b = build(live_nn), build(rm)
     ha = train_regressor(a, x, y, mask, None,
                          TrainingConfig(epochs=30, lr=0.02, patience=0))
-    hb = train_regressor(b, x, y, mask, None,
-                         TrainingConfig(epochs=30, lr=0.02, patience=0,
-                                        engine="module"))
+    hb = ref_train_regressor(b, x, y, mask, None,
+                             RefConfig(epochs=30, lr=0.02, patience=0))
     assert ha.train_loss == hb.train_loss
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa.value, pb.value)
@@ -222,48 +234,43 @@ def test_grid_best_accuracy_is_recorded_not_recomputed():
     for point in result.points:
         model = built[point.hidden_dims]
         fresh = float(
-            (model.forward(x).argmax(axis=1)[val_mask]
+            (infer(model, x).argmax(axis=1)[val_mask]
              == y[val_mask]).mean()
         )
         assert point.val_accuracy == fresh
 
 
 # ----------------------------------------------------------------------
-# eval() releases cached autograd state
+# the compiler normalizes input layouts
 # ----------------------------------------------------------------------
-def test_eval_clears_cached_autograd_state():
-    x, y, train_mask, val_mask = make_data(30, 2)
-    model = make_model(2, dropout=0.3)
-    # The module path caches forward intermediates on each layer.
-    train_classifier(model, x, y, train_mask, val_mask,
-                     TrainingConfig(epochs=5, engine="module"))
-    # Training ends with model.eval(): every per-node cached array
-    # must be gone.
-    for module in model.modules:
-        for attribute, value in vars(module).items():
-            if attribute in ("training",):
-                continue
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                pytest.fail(
-                    f"{type(module).__name__}.{attribute} still holds "
-                    f"a cached {value.shape} array after eval()"
-                )
+def test_fortran_ordered_x_trains_identically():
+    """A Fortran-ordered (or otherwise non-C-contiguous) ``x`` is
+    converted at compile time: same history and weights, bit for bit,
+    as the C-ordered matrix."""
+    x, y, train_mask, val_mask = make_data(40, 6)
+    config = TrainingConfig(epochs=40, lr=0.05, patience=0)
+    c_model, f_model = make_model(6, 0.3), make_model(6, 0.3)
+    c_history = train_classifier(c_model, np.ascontiguousarray(x), y,
+                                 train_mask, val_mask, config)
+    f_history = train_classifier(f_model, np.asfortranarray(x), y,
+                                 train_mask, val_mask, config)
+    assert c_history.train_loss == f_history.train_loss
+    assert c_history.val_metric == f_history.val_metric
+    for a, b in zip(c_model.parameters(), f_model.parameters()):
+        assert np.array_equal(a.value, b.value)
 
 
-def test_forward_after_eval_still_works():
-    x, y, train_mask, val_mask = make_data(30, 4)
-    model = make_model(4, dropout=0.3)
-    train_classifier(model, x, y, train_mask, val_mask,
-                     TrainingConfig(epochs=5, engine="module"))
-    before = model.forward(x)
-    model.eval()
-    after = model.forward(x)
-    assert np.array_equal(before, after)
-    # And backward still functions after a fresh forward.
-    model.train()
-    model.forward(x)
-    model.zero_grad()
-    model.backward(np.ones((30, 2)) / 60.0)
+def test_non_csr_adjacency_is_converted():
+    x, a_norm, y, train_mask, val_mask = _gcn_case(n=40, seed=8)
+    histories = []
+    for adjacency in (a_norm, a_norm.tocsc(), a_norm.tocoo()):
+        model = Sequential(GCNConv(5, 8, adjacency, seed=0), ReLU(),
+                           GCNConv(8, 2, adjacency, seed=1),
+                           LogSoftmax())
+        histories.append(train_classifier(
+            model, x, y, train_mask, val_mask,
+            TrainingConfig(epochs=20, patience=0)).train_loss)
+    assert histories[0] == histories[1] == histories[2]
 
 
 # ----------------------------------------------------------------------
@@ -318,20 +325,31 @@ def test_propagation_cache_shared_across_runs():
 
 
 def test_workspace_rejects_unknown_modules():
-    class Strange(Sequential):
+    class Strange(Module):
         pass
 
     x = np.zeros((4, 3))
-    model = Sequential(Linear(3, 2))
-    assert compile_workspace(model, x) is not None
-
-    from repro.nn.modules import SAGEConv
+    assert compile_workspace(Sequential(Linear(3, 2)), x) is not None
 
     edges = np.array([[0, 1, 2], [1, 2, 3]])
-    a_norm = normalized_adjacency(edges, 4, mode="row",
+    a_mean = normalized_adjacency(edges, 4, mode="row",
                                   self_loops=False)
-    sage = Sequential(SAGEConv(3, 2, a_norm))
-    assert compile_workspace(sage, x) is None
+    assert compile_workspace(Sequential(SAGEConv(3, 2, a_mean)),
+                             x) is not None
+    with pytest.raises(ModelError, match="Strange"):
+        compile_workspace(Sequential(Linear(3, 2), Strange()), x)
+    with pytest.raises(ModelError, match="empty"):
+        compile_workspace(Sequential(), x)
+
+
+def test_workspace_rejects_mismatched_shapes():
+    x = np.zeros((4, 3))
+    with pytest.raises(ModelError, match="expects 5 input features, "
+                                         "got 3"):
+        compile_workspace(Sequential(Linear(5, 2)), x)
+    a_norm = normalized_adjacency(np.array([[0], [1]]), 2)
+    with pytest.raises(ModelError, match="2x2 but x has 4 rows"):
+        compile_workspace(Sequential(GCNConv(3, 2, a_norm)), x)
 
 
 def test_gcn_conv_operand_order_flag():
