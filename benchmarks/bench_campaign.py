@@ -15,6 +15,12 @@ Runs two ways:
 * ``python benchmarks/bench_campaign.py [--smoke] [--jobs N]`` —
   standalone; ``--smoke`` shrinks the workload suite for the CI guard
   (exercises the parallel path end to end, skips the artifact write).
+  Its suite mixes cycle counts (60, 60 and 40), so the pooled run
+  packs more than one group of workloads.
+
+Every configuration must reproduce the serial result bit for bit
+(error cycles, detection cycles and latent flags) with an empty
+failure ledger.
 """
 
 import argparse
@@ -37,6 +43,9 @@ ARTIFACT = "BENCH_campaign.json"
 DESIGN = "or1200_icfsm"
 WORKLOADS = 8
 CYCLES = 200
+
+#: Per-workload cycle counts of the ``--smoke`` suite.
+SMOKE_CYCLES = (60, 60, 40)
 
 #: Pre-optimization engine (per-cycle allocations, per-mismatch-cycle
 #: unpackbits) measured on this exact workload shape at the commit that
@@ -83,15 +92,30 @@ def _measure_interleaved(design, workloads, configs, repeats=3):
 
 def run_benchmark(design_name=DESIGN, n_workloads=WORKLOADS,
                   cycles=CYCLES, jobs=2, repeats=5):
-    """Measure serial / sharded / parallel and assemble the payload."""
-    from repro import build_design
-    from repro.sim import design_workloads
+    """Measure serial / sharded / parallel and assemble the payload.
 
+    ``cycles`` is one count for every workload, or a sequence of
+    per-workload counts (``n_workloads`` is then its length).
+    """
+    from repro import build_design
+    from repro.sim import Workload, design_workloads
+
+    lengths = (
+        [cycles] * n_workloads if isinstance(cycles, int)
+        else list(cycles)
+    )
+    n_workloads = len(lengths)
     design = build_design(design_name)
-    workloads = design_workloads(design.name, design,
-                                 count=n_workloads, cycles=cycles,
-                                 seed=0)
-    total_cycles = n_workloads * cycles
+    workloads = [
+        Workload(workload.name, workload.input_names,
+                 workload.vectors[:length])
+        for workload, length in zip(
+            design_workloads(design.name, design, count=n_workloads,
+                             cycles=max(lengths), seed=0),
+            lengths,
+        )
+    ]
+    total_cycles = sum(lengths)
 
     best, results = _measure_interleaved(design, workloads, {
         "serial": {},
@@ -105,10 +129,12 @@ def run_benchmark(design_name=DESIGN, n_workloads=WORKLOADS,
         results["serial"], results["sharded_serial"],
         results["parallel"],
     )
-    for other in (sharded, parallel):
+    for other in (serial, sharded, parallel):
+        assert not other.failures, other.failures
         assert np.array_equal(serial.error_cycles, other.error_cycles)
         assert np.array_equal(serial.detection_cycle,
                               other.detection_cycle)
+        assert np.array_equal(serial.latent, other.latent)
 
     n_faults = len(serial.faults)
 
@@ -167,8 +193,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        payload = run_benchmark(n_workloads=2, cycles=60,
-                                jobs=args.jobs, repeats=1)
+        payload = run_benchmark(cycles=SMOKE_CYCLES, jobs=args.jobs,
+                                repeats=1)
     else:
         payload = run_benchmark(jobs=args.jobs)
     text = json.dumps(payload, indent=2)

@@ -221,10 +221,11 @@ def run_campaign(
     """Run the full fault-injection campaign.
 
     Execution is delegated to :class:`repro.fi.runner.CampaignRunner`,
-    which supervises each workload's fault pass as an independent unit
+    which packs equal-length workloads into shared bit-parallel passes
+    and supervises each ``(rows, shard)`` pass as an independent unit
     of work.  With the default policy (no timeout, no retries, no
-    checkpointing) the behaviour — and the result, bit for bit — is
-    that of a plain loop over the workloads.
+    checkpointing) the result is, bit for bit, that of a plain loop of
+    one fault pass per workload.
 
     Args:
         netlist: Design under test.
@@ -242,22 +243,25 @@ def run_campaign(
             fault-equivalence class and expand the results — same
             observable outcome, fewer machines (see
             :mod:`repro.fi.collapse`).
-        timeout: Seconds allowed per fault-pass attempt; ``None``
-            (default) never times out.
+        timeout: Seconds allowed per workload per fault-pass attempt
+            (a packed group of *k* workloads gets ``k * timeout``);
+            ``None`` (default) never times out.
         retries: Extra attempts per workload after a failed or hung
-            pass; a workload that exhausts them lands in the result's
-            failure ledger instead of aborting the campaign.
+            pass.  A packed group that fails is split into one unit
+            per workload, and each of those gets the retries; a
+            workload that exhausts them lands in the result's failure
+            ledger instead of aborting the campaign.
         backoff: :class:`~repro.utils.retry.BackoffPolicy` between
             attempts (default: jittered exponential).
         checkpoint_dir: Directory for durable per-unit checkpoints;
             ``None`` disables checkpointing.
         resume: Load completed units from ``checkpoint_dir`` instead of
             re-simulating them.
-        jobs: Worker processes executing (workload x shard) units
+        jobs: Worker processes executing ``(rows, shard)`` units
             concurrently; ``1`` (default) runs serially in-process,
             ``0`` uses every core.
         shard_size: Faults simulated per unit — ``0`` (default) keeps
-            the whole universe in one pass per workload,
+            the whole universe in one pass per workload group,
             ``None``/``"auto"`` sizes shards so each value matrix fits
             in cache.  Results are bitwise identical for every setting.
         max_worker_restarts: Dead pool workers respawned over the whole

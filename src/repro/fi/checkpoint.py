@@ -91,7 +91,7 @@ class CheckpointStore:
         return self.directory / MANIFEST_NAME
 
     def unit_path(self, index: int, shard: int = 0) -> Path:
-        """Checkpoint file for one (workload, shard) unit."""
+        """Checkpoint file for one (workload, shard) pair."""
         if self.n_shards == 1:
             return self.directory / f"workload_{index:04d}.npz"
         return self.directory / (
@@ -141,7 +141,7 @@ class CheckpointStore:
                error_cycles: np.ndarray,
                detection_cycle: np.ndarray, latent: np.ndarray,
                elapsed_seconds: float) -> None:
-        """Durably persist one completed (workload, shard) unit."""
+        """Durably persist one completed (workload, shard) pair."""
         from repro.io import save_workload_checkpoint
 
         save_workload_checkpoint(

@@ -987,8 +987,13 @@ def _trace_merge_dirty(
     packed_end_union = None
     span = n_dirty + 1
     if len({w.cycles for w in remapped}) == 1:
-        packed = engine.run_packed_fault_trace(
+        packed = PassTrace.allocate(
+            remapped[0].cycles, len(sub_outputs), len(sub_flop_names),
+            (len(remapped) * span + 63) // 64,
+        )
+        engine.run_fault_passes(
             remapped, fault_nets, fault_values, observation=compiled,
+            trace=packed,
         )
         if affected_out_rows.size:
             packed_out_union = np.bitwise_or.reduce(

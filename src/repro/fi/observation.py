@@ -77,13 +77,17 @@ class CompiledObservation:
         """Per-output compare-enable for one cycle.
 
         ``golden_bits`` is the golden machine's output vector (bool per
-        output).  Outputs whose strobe is inactive this cycle are
-        excluded from the mismatch comparison.
+        output), or one column per golden machine when a packed pass
+        carries several workloads.  Outputs whose strobe is inactive
+        this cycle are excluded from the mismatch comparison.
         """
-        mask = np.ones(len(self.output_names), dtype=bool)
+        mask = np.ones(golden_bits.shape, dtype=bool)
         gated = self.strobe_index >= 0
         strobe_values = golden_bits[self.strobe_index[gated]]
-        mask[gated] = strobe_values == self.strobe_active[gated].astype(bool)
+        active = self.strobe_active[gated].astype(bool)
+        mask[gated] = strobe_values == active.reshape(
+            active.shape + (1,) * (golden_bits.ndim - 1)
+        )
         return mask
 
 

@@ -1,11 +1,12 @@
 """Multi-core campaign plumbing: job resolution and shard sizing.
 
 The sharded campaign engine splits a fault universe into contiguous
-shards and fans (workload x shard) units out over worker processes.
-This module holds the policy arithmetic — how many workers a host can
-sustain, and how large a shard can grow before its value matrix
-(``n_nets x n_words x 8`` bytes) falls out of cache — kept free of any
-FI vocabulary so other fan-out stages (feature extraction, training
+shards and fans (workload group x shard) units out over worker
+processes.  This module holds the policy arithmetic — how many workers
+a host can sustain, how large a shard can grow before its value matrix
+(``n_nets x n_words x 8`` bytes) falls out of cache, and how many
+workload spans one packed pass may carry — kept free of any FI
+vocabulary so other fan-out stages (feature extraction, training
 sweeps) can reuse it.
 """
 
@@ -21,6 +22,12 @@ from repro.utils.errors import CampaignError
 #: desktop L2 (per-core) so the gather/scatter inner loop stays
 #: cache-resident; the golden machine costs one extra bit per word.
 DEFAULT_SHARD_BUDGET_BYTES = 4 * 1024 * 1024
+
+#: Budget for the value matrix of one lane-packed pass that carries
+#: several workloads side by side (one span of ``faults + 1`` lanes
+#: each).  Wider passes cut per-cycle dispatch further but leave the
+#: cache; at 1 MiB a 16-workload or1200_if suite packs as two passes.
+DEFAULT_PACK_BUDGET_BYTES = 1024 * 1024
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -53,6 +60,24 @@ def auto_shard_size(
         raise CampaignError(f"n_nets {n_nets} must be positive")
     words = max(1, budget_bytes // (n_nets * 8))
     return words * 64 - 1
+
+
+def auto_pack_size(
+    n_nets: int,
+    span: int,
+    budget_bytes: int = DEFAULT_PACK_BUDGET_BYTES,
+) -> int:
+    """Most spans of ``span`` lanes one packed pass may carry.
+
+    ``g`` spans fill ``ceil(g * span / 64)`` words per net; at least
+    one span always fits, however wide.
+    """
+    if n_nets <= 0 or span <= 0:
+        raise CampaignError(
+            f"n_nets {n_nets} and span {span} must be positive"
+        )
+    words = max(1, budget_bytes // (n_nets * 8))
+    return max(1, words * 64 // span)
 
 
 def shard_bounds(n_items: int, shard_size: int) -> List[Tuple[int, int]]:

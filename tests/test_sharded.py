@@ -209,10 +209,10 @@ class TestShardedCheckpointing:
         run_campaign(icfsm, suite, shard_size=200, jobs=2,
                      checkpoint_dir=tmp_path)
 
-        def exploding_pass(self, workload, *args, **kwargs):
+        def exploding_pass(self, workloads, *args, **kwargs):
             raise AssertionError("resume re-simulated a finished unit")
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_fault_passes",
                             exploding_pass)
         resumed = run_campaign(icfsm, suite, shard_size=200,
                                checkpoint_dir=tmp_path, resume=True)
@@ -230,36 +230,41 @@ class TestShardedCheckpointing:
 class TestParallelFailures:
     def test_failed_unit_names_its_shard(self, icfsm, suite,
                                          monkeypatch):
-        real = BitParallelSimulator.run_fault_pass
-        boom = {"count": 0}
+        real = BitParallelSimulator.run_fault_passes
+        victim = suite[0].name
 
-        def flaky_pass(self, workload, nets, values, **kwargs):
-            if boom["count"] == 0 and len(nets) < 526:
-                boom["count"] += 1
+        def flaky_pass(self, workloads, nets, values, **kwargs):
+            # Row 0 of the second shard (faults 300:526) always fails:
+            # its packed group is split and only its own unit lands in
+            # the ledger.
+            if len(nets) < 300 and any(w.name == victim
+                                       for w in workloads):
                 raise RuntimeError("injected harness fault")
-            return real(self, workload, nets, values, **kwargs)
+            return real(self, workloads, nets, values, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_fault_passes",
                             flaky_pass)
         result = run_campaign(icfsm, suite, shard_size=300)
         assert len(result.failures) == 1
         failure = result.failures[0]
         assert failure.status == "error"
         assert failure.error.startswith("shard ")
+        assert failure.error.startswith("shard 1 (faults 300:526)")
+        assert failure.workload == victim
         assert "injected harness fault" in failure.error
 
     def test_parallel_failure_lands_in_ledger(self, icfsm, suite,
                                               baseline, monkeypatch):
-        real = BitParallelSimulator.run_fault_pass
+        real = BitParallelSimulator.run_fault_passes
         victim = suite[0].name
 
-        def doomed_pass(self, workload, *args, **kwargs):
-            if workload.name == victim:
+        def doomed_pass(self, workloads, *args, **kwargs):
+            if any(w.name == victim for w in workloads):
                 raise RuntimeError("worker-side crash")
-            return real(self, workload, *args, **kwargs)
+            return real(self, workloads, *args, **kwargs)
 
         # fork workers inherit the monkeypatched class
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_fault_passes",
                             doomed_pass)
         result = run_campaign(icfsm, suite, jobs=2)
         assert [f.workload for f in result.failures] == [victim]
