@@ -9,10 +9,13 @@ inspectable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
+import threading
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -68,6 +71,35 @@ def durable_replace(temporary: PathLike, path: PathLike) -> None:
     path = Path(path)
     os.replace(str(temporary), str(path))
     fsync_directory(path.parent)
+
+
+@contextlib.contextmanager
+def _interrupts_deferred() -> Iterator[None]:
+    """Hold SIGINT/SIGTERM until the block ends, then re-deliver them.
+
+    ``np.savez`` is not interrupt-safe: a ``KeyboardInterrupt`` raised
+    while it opens a zip member makes its cleanup raise a ``ValueError``
+    that replaces the interrupt.  Writes wrapped here finish whole, and
+    the signal then takes its usual course (``KeyboardInterrupt``, or
+    whatever handler was installed).  Off the main thread, or when a
+    handler was not installed from Python, the block runs unguarded.
+    """
+    signums = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.getsignal(signum) for signum in signums]
+    if (threading.current_thread() is not threading.main_thread()
+            or None in previous):
+        yield
+        return
+    caught: List[int] = []
+    for signum in signums:
+        signal.signal(signum, lambda number, _frame: caught.append(number))
+    try:
+        yield
+    finally:
+        for signum, handler in zip(signums, previous):
+            signal.signal(signum, handler)
+        if caught:
+            signal.raise_signal(caught[0])
 
 
 def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
@@ -318,7 +350,9 @@ def save_workload_checkpoint(
     The write is atomic *and durable*: the temp file is fsynced before
     the rename and the parent directory after it, so a kill or power
     cut at any instant never leaves a half-checkpoint — or a vanished
-    "successful" one — that a later ``--resume`` would trust.
+    "successful" one — that a later ``--resume`` would trust.  A
+    SIGINT/SIGTERM that arrives mid-write is held until the file is
+    published (:func:`_interrupts_deferred`).
     """
     path = Path(path)
     metadata = {
@@ -328,20 +362,21 @@ def save_workload_checkpoint(
         "elapsed_seconds": float(elapsed_seconds),
     }
     temporary = path.with_name(path.name + ".tmp")
-    with open(temporary, "wb") as handle:
-        np.savez_compressed(
-            handle,
-            metadata=np.frombuffer(
-                json.dumps(metadata).encode("utf-8"), dtype=np.uint8
-            ),
-            error_cycles=np.asarray(error_cycles, dtype=np.int64),
-            detection_cycle=np.asarray(detection_cycle,
-                                       dtype=np.int64),
-            latent=np.asarray(latent, dtype=bool),
-        )
-        handle.flush()
-        os.fsync(handle.fileno())
-    durable_replace(temporary, path)
+    with _interrupts_deferred():
+        with open(temporary, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                metadata=np.frombuffer(
+                    json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+                ),
+                error_cycles=np.asarray(error_cycles, dtype=np.int64),
+                detection_cycle=np.asarray(detection_cycle,
+                                           dtype=np.int64),
+                latent=np.asarray(latent, dtype=bool),
+            )
+            handle.flush()
+            os.fsync(handle.fileno())
+        durable_replace(temporary, path)
 
 
 def load_workload_checkpoint(

@@ -89,6 +89,19 @@ def reject_zero_cycle(workloads: Sequence[Workload]) -> None:
         )
 
 
+def reject_input_order(netlist: Netlist,
+                       workloads: Sequence[Workload]) -> None:
+    """Raise on the first workload whose input columns are not in the
+    netlist's primary-input order."""
+    inputs = netlist.input_names()
+    for workload in workloads:
+        if workload.input_names != inputs:
+            raise SimulationError(
+                f"workload {workload.name!r} input order does not "
+                f"match netlist {netlist.name!r}"
+            )
+
+
 @dataclass
 class Trace:
     """Recorded behaviour of one simulation run."""

@@ -293,6 +293,7 @@ class WorkerPool:
         self._workers: List[_Worker] = []
         self._free_slots = list(range(self._jobs))
         self.restarts = 0  # respawns consumed from the budget
+        self._forks = 0
         self._poll = min(0.1, self.policy.heartbeat_interval / 4.0)
 
     # -- lifecycle -----------------------------------------------------
@@ -314,6 +315,7 @@ class WorkerPool:
             name=f"pool-worker-{slot}",
         )
         process.start()
+        self._forks += 1
         child_end.close()
         worker = _Worker(process, parent_end, slot)
         self._workers.append(worker)
@@ -357,7 +359,8 @@ class WorkerPool:
         a worker-side error, or (after supervision gives up on it) a
         :class:`UnitCrash`.  The pool survives worker deaths by
         requeueing the dead worker's unit and respawning under the
-        restart budget.
+        restart budget.  Calling :meth:`run` again reuses the live
+        workers; the budget covers the pool's whole life.
         """
         total = len(units)
         if total == 0:
@@ -368,6 +371,12 @@ class WorkerPool:
         completed: Set[int] = set()
 
         for _ in range(min(self._jobs, total) - len(self._workers)):
+            if self._forks >= self._jobs:
+                # A later run refilling a dead worker's place: that is
+                # a respawn, so it spends the same budget.
+                if self.restarts >= self.policy.max_worker_restarts:
+                    break
+                self.restarts += 1
             self._spawn()
 
         while len(completed) < total:
