@@ -15,8 +15,46 @@ Quickstart::
 
     analyzer = FaultCriticalityAnalyzer(build_design("sdram"))
     print(analyzer.summary())
+
+BLAS thread policy: importing this package loads numpy's OpenBLAS with
+one thread.  OpenBLAS reads its thread count once, when the library is
+loaded, and by default starts a helper thread per CPU that keeps a
+second core busy around every small GEMM of training, the baselines
+and the explainer without shortening the run.  So, if numpy is not
+yet imported and none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, numpy is imported
+here with ``OPENBLAS_NUM_THREADS=1`` and ``os.environ`` is then
+restored exactly as found, so processes spawned later inherit the
+caller's environment.  Forked workers inherit the loaded library and
+its single thread.  Setting any of those variables overrides the
+policy; a program that imports numpy before this package keeps its
+own BLAS configuration.
 """
 
+#: The variables OpenBLAS reads for its thread count at load time.
+_BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+)
+
+
+def _load_numpy_single_threaded() -> None:
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(
+        name in os.environ for name in _BLAS_THREAD_VARIABLES
+    ):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_single_threaded()
+
+# The package's own imports load numpy, so they follow the policy.
 from repro.circuits import (
     build_design,
     build_or1200_icfsm,

@@ -106,11 +106,15 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
     """Durably write ``payload`` to ``path`` via a synced temp file."""
     path = Path(path)
     temporary = path.with_name(path.name + f".tmp.{os.getpid()}")
-    with open(temporary, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    durable_replace(temporary, path)
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        durable_replace(temporary, path)
+    finally:
+        if temporary.exists():
+            temporary.unlink()
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:

@@ -7,7 +7,9 @@ Warm results are bitwise identical to cold ones: every artifact format
 round-trips floats exactly (JSON shortest-repr, float64 ``.npz``), the
 campaign's recorded ``simulation_seconds`` rides inside its artifact,
 and all store diagnostics go through ``logging`` (stderr), never
-stdout.
+stdout.  The store is only an optimization: a failed write (full disk,
+read-only directory, no hard links) is logged as a warning and the
+computed value is returned uncached.
 
 The campaign stage has one extra trick — the *ECO near-miss*: when the
 exact campaign key misses, the store is probed for a campaign of a
@@ -53,6 +55,18 @@ def _training_params(config) -> dict:
     return {**asdict(config), "engine": "auto"}
 
 
+def _put_or_warn(store: ArtifactStore, key: str, kind: str,
+                 writer: Callable, *, meta: dict) -> None:
+    """``store.put``, with a write failure logged instead of raised."""
+    try:
+        store.put(key, kind, writer, meta=meta)
+    except OSError as error:
+        logger.warning(
+            "store write of %s %s failed (%s: %s) — continuing "
+            "uncached", kind, key[:12], type(error).__name__, error,
+        )
+
+
 def _read_json(path) -> dict:
     import json
 
@@ -92,8 +106,8 @@ def ensure_netlist_cached(store: ArtifactStore, netlist) -> str:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
 
-        store.put(key, "netlist", writer,
-                  meta={"design": netlist.name})
+        _put_or_warn(store, key, "netlist", writer,
+                     meta={"design": netlist.name})
     return key
 
 
@@ -200,8 +214,8 @@ def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
                     len(result.failures))
         return result
     ensure_netlist_cached(store, netlist)
-    store.put(
-        key, "campaign",
+    _put_or_warn(
+        store, key, "campaign",
         lambda path: save_campaign(result, path),
         meta={
             "design": netlist.name,
@@ -510,6 +524,6 @@ class AnalysisMemo:
             logger.info("store hit: %s %s", kind, key[:12])
             return hit
         value = compute()
-        self.store.put(key, kind, make_writer(value),
-                       meta={"design": self.analyzer.netlist.name})
+        _put_or_warn(self.store, key, kind, make_writer(value),
+                     meta={"design": self.analyzer.netlist.name})
         return value

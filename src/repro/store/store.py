@@ -6,17 +6,22 @@ Layout::
         index.json                      advisory metadata + LRU clock
         objects/<key[:2]>/<key>.<kind>.<ext>
 
-Objects are immutable once published: writers produce a unique temp
-file, fsync it, and atomically rename it into place
-(:func:`repro.io.durable_replace`), so a reader never observes a
-partial artifact and two concurrent writers of the same key — which by
-content addressing are writing identical bytes' worth of meaning —
-leave exactly one valid object, whichever rename lands last.
+Objects are immutable once published, and the first publisher of a
+key wins: a writer produces a unique temp file, fsyncs it, hard-links
+it into place only if no object exists under that name, fsyncs the
+directory and unlinks the temp.  A reader therefore never observes a
+partial artifact, and a writer that loses the race to a concurrent
+writer of the same key (by content addressing, the same meaning)
+keeps the published object and records *its* size and sha256, so the
+index can never describe one writer's checksum over another's bytes.
+Any write failure — full disk, read-only directory, or a filesystem
+without hard links — is raised from :meth:`ArtifactStore.put`; the
+memoization layer logs it and carries on uncached.
 
 The index is *advisory*: it carries per-entry size/sha256/LRU-tick
 plus searchable ``meta`` (what the ECO near-miss probe matches on),
 and it is rewritten atomically on every mutation.  A lost update from
-a concurrent process, a crash between object rename and index write,
+a concurrent process, a crash between object link and index write,
 or a deleted/corrupt index never loses artifacts — :meth:`_load_index`
 reconciles against a directory scan, adopting orphaned objects and
 dropping ghost entries.  Validation failures on read (truncated zip,
@@ -34,7 +39,7 @@ import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.io import atomic_write_text, durable_replace, fsync_directory
+from repro.io import atomic_write_text, fsync_directory
 from repro.utils.errors import ReproError, SerializationError
 
 PathLike = Union[str, Path]
@@ -164,14 +169,19 @@ class ArtifactStore:
             writer: Callable[[Path], None], *,
             meta: Optional[dict] = None) -> Path:
         """Publish an artifact: ``writer(temp_path)`` produces the
-        bytes, which are fsynced and atomically renamed into place."""
+        bytes, which are fsynced and hard-linked into place unless an
+        object is already published under ``key`` (which then stands).
+
+        Raises ``OSError`` when the object or the index cannot be
+        written; no temp file is left behind.
+        """
         if kind not in KIND_EXTENSIONS:
             raise ReproError(f"unknown artifact kind {kind!r}")
         path = self.object_path(key, kind)
         path.parent.mkdir(parents=True, exist_ok=True)
         # The temp name keeps the final extension (np.savez appends
         # ".npz" to anything else) and is unique per process, so
-        # concurrent writers of one key never collide pre-rename.
+        # concurrent writers of one key never collide pre-link.
         temporary = path.parent / (
             f".tmp-{os.getpid()}-{path.name}"
         )
@@ -182,7 +192,12 @@ class ArtifactStore:
                 os.fsync(descriptor)
             finally:
                 os.close(descriptor)
-            durable_replace(temporary, path)
+            try:
+                os.link(temporary, path)
+            except FileExistsError:
+                pass  # first publisher wins; its object is indexed
+            else:
+                fsync_directory(path.parent)
         finally:
             if temporary.exists():
                 temporary.unlink()

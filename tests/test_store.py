@@ -3,6 +3,7 @@ corruption handling, and warm-vs-cold bitwise identity."""
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import multiprocessing
@@ -345,6 +346,76 @@ class TestDurability:
             if not path.name.startswith(".tmp-")
         ]
         assert len(objects) == 1
+
+    def test_same_key_put_between_publish_and_index_write(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """The first publisher's object stands and every index entry
+        describes it, however the two writers interleave."""
+        directory = tmp_path / "shared"
+        key = "c" * 64
+        first, second = ArtifactStore(directory), ArtifactStore(directory)
+        real_gc = first._gc_locked
+
+        def gc_after_racing_put():
+            # ``first`` has published its object but not yet written
+            # its index: ``second`` publishes the same key right now.
+            second.put(key, "netlist", _text_writer("// writer B\n"))
+            return real_gc()
+
+        monkeypatch.setattr(first, "_gc_locked", gc_after_racing_put)
+        first.put(key, "netlist", _text_writer("// writer A\n"))
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            text = ArtifactStore(directory).get(
+                key, "netlist",
+                lambda p: Path(p).read_text(encoding="utf-8"),
+            )
+        assert "failed validation" not in caplog.text
+        assert text == "// writer A\n"
+        assert second.get(key, "netlist",
+                          lambda p: Path(p).read_text()) == text
+
+
+def _no_space(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStoreWriteFailures:
+    @pytest.mark.parametrize("failure", ["object-fsync", "publish",
+                                         "index"])
+    def test_failed_store_write_never_fails_analysis(
+        self, sdram, sdram_analysis, tmp_path, monkeypatch, caplog,
+        failure
+    ):
+        import repro.io as io_module
+
+        directory = tmp_path / "store"
+        store = ArtifactStore(directory)
+        if failure == "object-fsync":
+            monkeypatch.setattr(os, "fsync", _no_space)
+        elif failure == "publish":
+            monkeypatch.setattr(os, "link", _no_space)
+            monkeypatch.setattr(os, "replace", _no_space)
+        else:
+            monkeypatch.setattr(io_module, "durable_replace", _no_space)
+
+        def rows(analyzer):
+            summary = {key: value
+                       for key, value in analyzer.summary().items()
+                       if "seconds" not in key}
+            return repr((summary, analyzer.baseline_accuracies(),
+                         analyzer.regression_quality()))
+
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            analyzer = FaultCriticalityAnalyzer(
+                sdram, AnalyzerConfig(**SMALL), store=store
+            )
+            failed = rows(analyzer)
+        monkeypatch.undo()
+        assert failed == rows(sdram_analysis)
+        assert not [path for path in directory.rglob("*")
+                    if ".tmp" in path.name]
+        assert "continuing uncached" in caplog.text
 
 
 # ----------------------------------------------------------------------
