@@ -17,8 +17,9 @@ Runs two ways:
   JSON artifact and asserts the >=10x acceptance bar.
 * ``python benchmarks/bench_eco.py [--smoke]`` — standalone;
   ``--smoke`` shrinks the suite for the CI guard (exercises diff,
-  trace sidecar, support-cone merge, and the bitwise check end to
-  end, skips the artifact write and the 10x bar).
+  traces stored in and read back from an artifact store, support-cone
+  merge, and the bitwise check end to end, skips the artifact write
+  and the 10x bar).
 """
 
 import argparse
@@ -97,6 +98,7 @@ def run_benchmark(n_workloads=WORKLOADS, cycles=CYCLES,
     )
     from repro.fi.observation import DESIGN_OBSERVATION, DESIGN_SEVERITY
     from repro.sim import design_workloads
+    from repro.store import ArtifactStore
 
     old = build_design(DESIGN)
     new = _edited(old)
@@ -107,11 +109,13 @@ def run_benchmark(n_workloads=WORKLOADS, cycles=CYCLES,
 
     with tempfile.TemporaryDirectory() as base_dir:
         # Baseline prep (the investment, not part of the measurement):
-        # the pre-edit campaign recorded with per-output traces.
+        # the pre-edit campaign recorded with per-output traces, both
+        # cached in an artifact store.
+        store = ArtifactStore(base_dir)
         started = time.perf_counter()
-        base, _ = run_campaign_with_traces(
+        run_campaign_with_traces(
             old, workloads, observation=spec, severity=severity,
-            checkpoint_dir=base_dir,
+            store=store,
         )
         prep_seconds = time.perf_counter() - started
 
@@ -131,7 +135,7 @@ def run_benchmark(n_workloads=WORKLOADS, cycles=CYCLES,
             started = time.perf_counter()
             eco = run_eco_campaign(
                 old, new, workloads, observation=spec,
-                severity=severity, base_checkpoint_dir=base_dir,
+                severity=severity, store=store,
             )
             elapsed = time.perf_counter() - started
             if best_eco is None or elapsed < best_eco:

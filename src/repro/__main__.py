@@ -15,8 +15,13 @@ Commands:
 The pipeline commands accept ``--store DIR`` (default: the
 ``REPRO_STORE`` environment variable): a content-addressed artifact
 store that memoizes every expensive stage across invocations, so a
-warm rerun is O(read).  All store diagnostics go to stderr; stdout is
-bitwise identical between cold and warm runs.
+warm rerun is O(read).  It also holds a running FI campaign's
+completed units: rerunning an interrupted ``analyze`` or ``campaign``
+with the same ``--store`` resumes it, bitwise identical to an
+uninterrupted run.  ``campaign --eco-traces`` stores a baseline's ECO
+traces there, and ``--eco`` reads its baseline from it.  All store
+diagnostics go to stderr; stdout is bitwise identical between cold
+and warm runs.
 """
 
 from __future__ import annotations
@@ -75,10 +80,16 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
                              "every stage cold")
 
 
+def _store_directory(args):
+    """The run's store directory, or ``None`` when disabled/unset."""
+    if getattr(args, "no_store", False):
+        return None
+    return getattr(args, "store", None)
+
+
 def _open_store(args):
     """The run's ArtifactStore, or ``None`` when disabled/unset."""
-    if getattr(args, "no_store", False) or not getattr(
-            args, "store", None):
+    if not _store_directory(args):
         return None
     from repro.store import ArtifactStore
 
@@ -121,10 +132,7 @@ def cmd_analyze(args) -> int:
 
         edited = read_verilog(args.eco)
         try:
-            update = analyzer.eco_update(
-                edited, base_checkpoint_dir=args.base_checkpoint_dir,
-                jobs=args.jobs,
-            )
+            update = analyzer.eco_update(edited, jobs=args.jobs)
         except EcoError as error:
             print(f"error: cannot reuse baseline incrementally: "
                   f"{error}", file=sys.stderr)
@@ -172,25 +180,23 @@ def cmd_campaign(args) -> int:
     workloads = design_workloads(design.name, design,
                                  count=args.workloads,
                                  cycles=args.cycles, seed=args.seed)
+    store = _open_store(args)
+    if (args.eco or args.eco_traces) and store is None:
+        flag = "--eco" if args.eco else "--eco-traces"
+        print(f"error: {flag} needs --store (the store that holds the "
+              "baseline campaign and its ECO traces)", file=sys.stderr)
+        return 2
     if args.eco:
         from repro.fi import run_eco_campaign
         from repro.netlist import read_verilog
         from repro.utils.errors import EcoError
 
-        if not args.base_checkpoint_dir:
-            print("error: --eco needs --base-checkpoint-dir (the "
-                  "checkpointed baseline campaign to merge from)",
-                  file=sys.stderr)
-            return 2
         edited = read_verilog(args.eco)
         try:
             eco = run_eco_campaign(
-                design, edited, workloads,
-                base_checkpoint_dir=args.base_checkpoint_dir,
+                design, edited, workloads, store=store,
                 collapse=args.collapse,
                 timeout=args.timeout, retries=args.retries,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
                 jobs=args.jobs, shard_size=args.shard_size,
                 max_worker_restarts=args.max_worker_restarts,
                 heartbeat_interval=args.heartbeat_interval,
@@ -205,33 +211,23 @@ def cmd_campaign(args) -> int:
     elif args.eco_traces:
         from repro.fi import run_campaign_with_traces
 
-        if not args.checkpoint_dir:
-            print("error: --eco-traces needs --checkpoint-dir (the "
-                  "sidecar is written into the checkpoint store)",
-                  file=sys.stderr)
-            return 2
-        campaign, _ = run_campaign_with_traces(
-            design, workloads, checkpoint_dir=args.checkpoint_dir,
-        )
-        print(f"ECO trace sidecar -> {args.checkpoint_dir}/"
-              "eco_traces.npz (later: repro campaign --eco EDITED.v "
-              f"--base-checkpoint-dir {args.checkpoint_dir} "
-              f"{args.design})")
+        campaign, _ = run_campaign_with_traces(design, workloads,
+                                               store=store)
+        print(f"ECO traces -> {args.store} (later: repro campaign "
+              f"{args.design} --eco EDITED.v --store {args.store})")
         print()
     else:
-        def compute():
+        def compute(store=None):
             return run_campaign(
                 design, workloads, collapse=args.collapse,
                 timeout=args.timeout, retries=args.retries,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
+                store=store,
                 jobs=args.jobs, shard_size=args.shard_size,
                 max_worker_restarts=args.max_worker_restarts,
                 heartbeat_interval=args.heartbeat_interval,
             )
 
-        store = _open_store(args)
-        if store is not None and not args.checkpoint_dir:
+        if store is not None:
             from repro.store import memoized_campaign
 
             campaign = memoized_campaign(
@@ -239,8 +235,6 @@ def cmd_campaign(args) -> int:
                 compute=compute,
             )
         else:
-            # A checkpoint-dir run must actually execute (its durable
-            # per-unit store is the product); don't shortcut it.
             campaign = compute()
     experiments = len(campaign.faults) * campaign.n_workloads
     print(f"{experiments} fault-experiments in "
@@ -475,11 +469,6 @@ def main(argv=None) -> int:
                               "re-simulate only the dirty region, and "
                               "rebind the trained GCNs to the edited "
                               "graph (no retraining)")
-    analyze.add_argument("--base-checkpoint-dir", metavar="DIR",
-                         help="with --eco: merge cached fault rows "
-                              "from this checkpointed baseline "
-                              "campaign instead of simulating the "
-                              "baseline in-memory")
     _add_store_flags(analyze)
     _add_pool_flags(analyze)
 
@@ -489,12 +478,6 @@ def main(argv=None) -> int:
                           help="collapse equivalent faults")
     campaign.add_argument("--out", metavar="FILE.npz",
                           help="persist the campaign result")
-    campaign.add_argument("--checkpoint-dir", metavar="DIR",
-                          help="durably checkpoint each completed "
-                               "workload to DIR")
-    campaign.add_argument("--resume", action="store_true",
-                          help="resume from completed workloads in "
-                               "--checkpoint-dir")
     campaign.add_argument("--timeout", type=float, default=None,
                           metavar="SECONDS",
                           help="abandon a fault pass that runs longer "
@@ -519,19 +502,13 @@ def main(argv=None) -> int:
                           help="incremental mode: diff the design "
                                "against this edited netlist, "
                                "re-simulate only faults in the dirty "
-                               "region, and merge the rest from "
-                               "--base-checkpoint-dir; the merged "
-                               "result is bitwise identical to a full "
-                               "rerun")
-    campaign.add_argument("--base-checkpoint-dir", metavar="DIR",
-                          help="with --eco: the completed baseline "
-                               "campaign's checkpoint store "
-                               "(fingerprint-verified; incompatible "
-                               "stores are refused, never merged)")
+                               "region, and merge the rest from the "
+                               "baseline campaign in --store; the "
+                               "merged result is bitwise identical to "
+                               "a full rerun")
     campaign.add_argument("--eco-traces", action="store_true",
                           help="baseline prep: serial campaign that "
-                               "also records the eco_traces.npz "
-                               "sidecar into --checkpoint-dir, "
+                               "also records ECO traces into --store, "
                                "unlocking --eco's trace-merge fast "
                                "path")
     _add_store_flags(campaign)
@@ -630,14 +607,16 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except KeyboardInterrupt:
-        # The pool tears down (and the checkpoint store flushes) in the
-        # runner's finally blocks before the exception reaches here, so
-        # every completed unit is already durable on disk.
-        print(
-            "\ninterrupted — completed units are checkpointed; rerun "
-            "with --checkpoint-dir DIR --resume to continue",
-            file=sys.stderr,
+        # The pool tears down in the runner's finally blocks before
+        # the exception reaches here, so every completed campaign unit
+        # is already durable in the store.
+        hint = (
+            "; completed campaign units are stored — rerun with the "
+            "same --store to continue"
+            if _store_directory(args) and args.command != "store"
+            else ""
         )
+        print(f"\ninterrupted{hint}", file=sys.stderr)
         return 130
 
 

@@ -212,11 +212,12 @@ class FaultCriticalityAnalyzer:
     def campaign(self) -> CampaignResult:
         """The fault-injection campaign result."""
         if self._campaign is None:
+            # With a store, the runner stores its progress there too.
             self._campaign = self._memoized(
                 "campaign",
-                lambda: run_campaign(
+                lambda store=None: run_campaign(
                     self.netlist, self.workloads,
-                    severity=self.config.severity,
+                    severity=self.config.severity, store=store,
                 ),
             )
         return self._campaign
@@ -603,11 +604,8 @@ class FaultCriticalityAnalyzer:
     # ------------------------------------------------------------------
     def eco_update(
         self, new_netlist: Netlist, *,
-        base_checkpoint_dir: "Optional[str]" = None,
         jobs: int = 1,
         shard_size: int = 0,
-        checkpoint_dir: "Optional[str]" = None,
-        resume: bool = False,
         timeout: Optional[float] = None,
         retries: int = 0,
     ) -> EcoAnalysis:
@@ -623,33 +621,22 @@ class FaultCriticalityAnalyzer:
         features, dataset, and graph are bitwise identical to a full
         from-scratch run on ``new_netlist``.
 
-        By default the in-memory :attr:`campaign` is the baseline
-        (computed now if not cached); pass ``base_checkpoint_dir`` to
-        reuse a PR 1/3-style on-disk checkpoint store instead, in which
-        case the baseline campaign is never simulated here.  Raises
-        :class:`~repro.utils.errors.EcoError` when the baseline cannot
-        be soundly reused.
+        The baseline is the :attr:`campaign` (a store hit, or computed
+        now).  With a store attached, baseline mismatch traces stored
+        there by :func:`repro.fi.run_campaign_with_traces` (``repro
+        campaign --eco-traces --store``) unlock the trace-merge fast
+        path.  Raises :class:`~repro.utils.errors.EcoError` when the
+        baseline cannot be soundly reused.
         """
         from repro.fi.eco import _remap_workloads
 
-        if base_checkpoint_dir is not None:
-            eco = run_eco_campaign(
-                self.netlist, new_netlist, self.workloads,
-                base_checkpoint_dir=base_checkpoint_dir,
-                severity=self.config.severity,
-                jobs=jobs, shard_size=shard_size,
-                checkpoint_dir=checkpoint_dir, resume=resume,
-                timeout=timeout, retries=retries,
-            )
-        else:
-            eco = run_eco_campaign(
-                self.netlist, new_netlist, self.workloads,
-                base=self.campaign,
-                severity=self.config.severity,
-                jobs=jobs, shard_size=shard_size,
-                checkpoint_dir=checkpoint_dir, resume=resume,
-                timeout=timeout, retries=retries,
-            )
+        eco = run_eco_campaign(
+            self.netlist, new_netlist, self.workloads,
+            base=self.campaign, store=self.store,
+            severity=self.config.severity,
+            jobs=jobs, shard_size=shard_size,
+            timeout=timeout, retries=retries,
+        )
         remapped = _remap_workloads(new_netlist, self.workloads)
         features = patch_features(
             self.features, new_netlist, eco.region.dirty_nodes,

@@ -8,7 +8,7 @@ from repro.fi.campaign import (
     run_campaign,
 )
 from repro.fi.runner import CampaignRunner, PassTimeout, RunnerPolicy
-from repro.fi.checkpoint import CheckpointStore, campaign_fingerprint
+from repro.utils.fingerprint import campaign_fingerprint
 from repro.fi.dataset import (
     DEFAULT_THRESHOLD,
     CriticalityDataset,
@@ -67,7 +67,6 @@ __all__ = [
     "CampaignRunner",
     "RunnerPolicy",
     "PassTimeout",
-    "CheckpointStore",
     "campaign_fingerprint",
     "DEFAULT_THRESHOLD",
     "CriticalityDataset",

@@ -210,8 +210,7 @@ def run_campaign(
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff=None,
-    checkpoint_dir=None,
-    resume: bool = False,
+    store=None,
     jobs: int = 1,
     shard_size=0,
     max_worker_restarts: int = 8,
@@ -224,8 +223,8 @@ def run_campaign(
     which packs equal-length workloads into shared bit-parallel passes
     and supervises each ``(rows, shard)`` pass as an independent unit
     of work.  With the default policy (no timeout, no retries, no
-    checkpointing) the result is, bit for bit, that of a plain loop of
-    one fault pass per workload.
+    store) the result is, bit for bit, that of a plain loop of one
+    fault pass per workload.
 
     Args:
         netlist: Design under test.
@@ -253,10 +252,12 @@ def run_campaign(
             ledger instead of aborting the campaign.
         backoff: :class:`~repro.utils.retry.BackoffPolicy` between
             attempts (default: jittered exponential).
-        checkpoint_dir: Directory for durable per-unit checkpoints;
-            ``None`` disables checkpointing.
-        resume: Load completed units from ``checkpoint_dir`` instead of
-            re-simulating them.
+        store: An :class:`~repro.store.ArtifactStore` that holds the
+            completed ``(row, shard)`` units: units already stored are
+            loaded instead of re-simulated, new ones are stored as
+            they complete, and all are dropped once the campaign
+            completes with no failures.  ``None`` (default) keeps
+            nothing.
         jobs: Worker processes executing ``(rows, shard)`` units
             concurrently; ``1`` (default) runs serially in-process,
             ``0`` uses every core.
@@ -285,8 +286,7 @@ def run_campaign(
         timeout=timeout,
         retries=retries,
         backoff=backoff,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
+        store=store,
         jobs=jobs,
         shard_size=shard_size,
         max_worker_restarts=max_worker_restarts,

@@ -34,10 +34,6 @@ from repro.utils.errors import (
 
 PathLike = Union[str, Path]
 
-#: Format version for workload checkpoints (bump on layout changes).
-CHECKPOINT_VERSION = 1
-
-
 # ----------------------------------------------------------------------
 # durable atomic writes
 # ----------------------------------------------------------------------
@@ -334,108 +330,6 @@ def load_campaign(path: PathLike) -> CampaignResult:
                 for entry in metadata.get("failures", ())
             ],
         )
-
-
-# ----------------------------------------------------------------------
-# workload checkpoints (resilient campaign runner)
-# ----------------------------------------------------------------------
-def save_workload_checkpoint(
-    path: PathLike,
-    *,
-    fingerprint: str,
-    workload_index: int,
-    error_cycles: np.ndarray,
-    detection_cycle: np.ndarray,
-    latent: np.ndarray,
-    elapsed_seconds: float,
-) -> None:
-    """Write one workload's completed fault pass to an ``.npz``.
-
-    The write is atomic *and durable*: the temp file is fsynced before
-    the rename and the parent directory after it, so a kill or power
-    cut at any instant never leaves a half-checkpoint — or a vanished
-    "successful" one — that a later ``--resume`` would trust.  A
-    SIGINT/SIGTERM that arrives mid-write is held until the file is
-    published (:func:`_interrupts_deferred`).
-    """
-    path = Path(path)
-    metadata = {
-        "version": CHECKPOINT_VERSION,
-        "fingerprint": fingerprint,
-        "workload_index": workload_index,
-        "elapsed_seconds": float(elapsed_seconds),
-    }
-    temporary = path.with_name(path.name + ".tmp")
-    with _interrupts_deferred():
-        with open(temporary, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                metadata=np.frombuffer(
-                    json.dumps(metadata).encode("utf-8"), dtype=np.uint8
-                ),
-                error_cycles=np.asarray(error_cycles, dtype=np.int64),
-                detection_cycle=np.asarray(detection_cycle,
-                                           dtype=np.int64),
-                latent=np.asarray(latent, dtype=bool),
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        durable_replace(temporary, path)
-
-
-def load_workload_checkpoint(
-    path: PathLike,
-    *,
-    fingerprint: str,
-    workload_index: int,
-    n_faults: int,
-) -> dict:
-    """Read and validate one workload checkpoint.
-
-    Raises :class:`SerializationError` when the file is corrupt, from
-    an incompatible checkpoint format version, written for a different
-    campaign (fingerprint mismatch), or carries arrays of the wrong
-    shape — resuming silently from any of those would corrupt the
-    campaign result.
-    """
-    with _open_npz(path, "checkpoint") as archive:
-        metadata = _archive_metadata(
-            archive, path, "checkpoint",
-            required=("version", "fingerprint", "workload_index",
-                      "elapsed_seconds"),
-        )
-        if metadata["version"] != CHECKPOINT_VERSION:
-            raise SerializationError(
-                f"checkpoint {path}: format version "
-                f"{metadata['version']} (this build reads "
-                f"{CHECKPOINT_VERSION})"
-            )
-        if metadata["fingerprint"] != fingerprint:
-            raise SerializationError(
-                f"checkpoint {path} was written for a different "
-                "campaign configuration (fingerprint mismatch) — "
-                "pass a fresh --checkpoint-dir or drop --resume"
-            )
-        if int(metadata["workload_index"]) != workload_index:
-            raise SerializationError(
-                f"checkpoint {path}: stored workload index "
-                f"{metadata['workload_index']}, expected "
-                f"{workload_index}"
-            )
-        arrays = {}
-        for key, dtype_kind in (("error_cycles", "iu"),
-                                ("detection_cycle", "iu"),
-                                ("latent", "b")):
-            array = _archive_array(archive, key, path, "checkpoint",
-                                   dtype_kind)
-            if array.shape != (n_faults,):
-                raise CorruptArtifactError(
-                    f"checkpoint {path}: {key} has shape "
-                    f"{array.shape}, expected ({n_faults},)"
-                )
-            arrays[key] = array
-        arrays["elapsed_seconds"] = float(metadata["elapsed_seconds"])
-        return arrays
 
 
 # ----------------------------------------------------------------------

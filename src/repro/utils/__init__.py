@@ -1,8 +1,7 @@
-"""Shared utilities: seeded RNG helpers, timing, retry/backoff, and
-error types."""
+"""Shared utilities: seeded RNG helpers, retry/backoff, and error
+types."""
 
 from repro.utils.rng import SeedSequence, derive_rng, rng_from_seed
-from repro.utils.timing import Stopwatch
 from repro.utils.retry import BackoffPolicy, RetryOutcome, retry_call
 from repro.utils.parallel import (
     auto_shard_size,
@@ -23,7 +22,6 @@ __all__ = [
     "SeedSequence",
     "derive_rng",
     "rng_from_seed",
-    "Stopwatch",
     "BackoffPolicy",
     "RetryOutcome",
     "retry_call",

@@ -1,7 +1,7 @@
 """The repo's single artifact-identity scheme.
 
-Every durable artifact — campaign checkpoints, ECO trace sidecars, and
-the content-addressed :mod:`repro.store` entries — is identified by a
+Every durable artifact — the content-addressed :mod:`repro.store`
+entries and the ECO traces' campaign guard — is identified by a
 sha256 fingerprint of its *full input closure*: a canonical-JSON header
 describing every parameter that shapes the artifact's bytes, plus the
 raw bytes of any referenced arrays.  :func:`canonical_hash` is the one
@@ -39,7 +39,7 @@ def canonical_hash(header: object,
 
 
 def campaign_fingerprint(
-    netlist_name: str,
+    netlist,
     workloads: Sequence,
     faults: Sequence,
     severity: float,
@@ -48,22 +48,18 @@ def campaign_fingerprint(
 ) -> str:
     """Deterministic digest of everything that shapes campaign output.
 
-    Workloads hash their stimulus *bytes*, not just their names: two
-    suites generated with different seeds share names but produce
-    different ground truth, and resuming across them must be refused.
+    The netlist participates through :func:`netlist_fingerprint`, its
+    structure, never its name alone: an edited design keeps its name
+    but not its ground truth.  Workloads hash their stimulus *bytes*,
+    not just their names: two suites generated with different seeds
+    share names but produce different ground truth.
     """
     header = {
-        "netlist": netlist_name,
+        "netlist": netlist_fingerprint(netlist),
         "severity": float(severity),
         "collapse": bool(collapse),
         "observation": observation_key,
-        "faults": [
-            (fault.node_name, int(fault.gate_index),
-             int(fault.net_index),
-             int(getattr(fault, "stuck_at", -1)),
-             int(getattr(fault, "cycle", -1)))
-            for fault in faults
-        ],
+        "faults": faults_fingerprint(faults),
         "workloads": [
             (workload.name, workload.cycles) for workload in workloads
         ],
@@ -71,6 +67,29 @@ def campaign_fingerprint(
     return canonical_hash(
         header, (workload.vectors for workload in workloads)
     )
+
+
+def faults_fingerprint(faults: Sequence) -> str:
+    """Identity of a fault list: every fault's site, value and cycle,
+    in order (the order fixes the campaign's column layout)."""
+    return canonical_hash([
+        (fault.node_name, int(fault.gate_index), int(fault.net_index),
+         int(getattr(fault, "stuck_at", -1)),
+         int(getattr(fault, "cycle", -1)))
+        for fault in faults
+    ])
+
+
+def observation_key(observation: Optional[object]) -> str:
+    """Stable fingerprint component for an observation policy."""
+    if observation is None:
+        return "all-outputs"
+    strobes = getattr(observation, "strobes", None)
+    if strobes is not None:
+        return json.dumps(sorted(
+            (target, list(strobe)) for target, strobe in strobes.items()
+        ))
+    return repr(observation)
 
 
 def netlist_fingerprint(netlist) -> str:

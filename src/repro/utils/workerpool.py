@@ -203,8 +203,15 @@ def _worker_main(
     # it — and never dirty the copy-on-write pages it lives in.
     gc.freeze()
 
+    parent = os.getppid()
+
     def beat() -> None:
         while True:
+            # A fork child holds copies of every pool pipe, so a parent
+            # killed outright never closes them: the worker would block
+            # in recv() forever.  Reparenting is the tell; leave then.
+            if os.getppid() != parent:
+                os._exit(1)
             heartbeats[slot] = time.monotonic()
             time.sleep(interval)
 

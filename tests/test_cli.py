@@ -85,16 +85,47 @@ def test_campaign_command_saves(tmp_path, capsys):
     assert loaded.netlist_name == "or1200_icfsm"
 
 
-def test_campaign_command_checkpoint_resume(tmp_path, capsys):
-    checkpoint_dir = tmp_path / "checkpoints"
+def test_campaign_command_checkpoint_resume(tmp_path, capsys,
+                                            monkeypatch):
+    """An interrupted ``campaign --store`` exits 130 pointing at the
+    store; rerunning with the same ``--store`` completes it and prints
+    what an uninterrupted run prints."""
+    from repro.sim.bitparallel import BitParallelSimulator
+
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    store = tmp_path / "store"
     common = ["campaign", "or1200_icfsm", "--workloads", "2",
-              "--cycles", "60", "--checkpoint-dir",
-              str(checkpoint_dir)]
+              "--cycles", "60", "--shard-size", "200"]
     assert main(common) == 0
-    assert (checkpoint_dir / "manifest.json").exists()
-    assert main(common + ["--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "fault-experiments" in out
+    reference = capsys.readouterr().out
+
+    real = BitParallelSimulator.run_fault_passes
+    passes = {"n": 0}
+
+    def dying(self, *args, **kwargs):
+        if passes["n"] == 1:
+            raise KeyboardInterrupt
+        passes["n"] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BitParallelSimulator, "run_fault_passes", dying)
+    assert main(common + ["--store", str(store)]) == 130
+    assert "rerun with the same --store" in capsys.readouterr().err
+    passes["n"] = 0
+    # Without a store there is nothing to resume from: no such hint.
+    assert main(common) == 130
+    err = capsys.readouterr().err
+    assert "interrupted" in err and "--store" not in err
+
+    monkeypatch.setattr(BitParallelSimulator, "run_fault_passes", real)
+    assert main(common + ["--store", str(store)]) == 0
+    resumed = capsys.readouterr().out
+
+    def untimed(text):
+        return [line for line in text.splitlines()
+                if "fault-experiments in" not in line]
+
+    assert untimed(resumed) == untimed(reference)
 
 
 def test_campaign_command_retry_flags(capsys):

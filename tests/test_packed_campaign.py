@@ -310,14 +310,21 @@ class TestGroupFailure:
         assert campaign_digest(result) == campaign_digest(baseline)
 
     def test_checkpoints_split_group_time_per_row(self, icfsm, suite,
-                                                  tmp_path):
-        result = run_campaign(icfsm, suite, checkpoint_dir=tmp_path)
-        store = CampaignRunner(
-            icfsm, suite,
-            policy=RunnerPolicy(checkpoint_dir=tmp_path, resume=True),
-        )._open_store()
-        shares = [checkpoint["elapsed_seconds"]
-                  for checkpoint in store.open(True).values()]
+                                                  tmp_path, monkeypatch):
+        """The one packed group stores a unit per row, each carrying an
+        even share of the group's elapsed time."""
+        from repro.store import ArtifactStore
+
+        real = CampaignRunner._publish_unit
+        shares = []
+
+        def spy(self, key, identity, value, elapsed):
+            shares.append(elapsed)
+            return real(self, key, identity, value, elapsed)
+
+        monkeypatch.setattr(CampaignRunner, "_publish_unit", spy)
+        result = run_campaign(icfsm, suite,
+                              store=ArtifactStore(tmp_path))
         assert len(shares) == len(suite)
         assert len(set(shares)) == 1  # one group, split evenly
         assert sum(shares) == pytest.approx(result.simulation_seconds)

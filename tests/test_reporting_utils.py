@@ -5,7 +5,7 @@ import pytest
 
 from repro.metrics import roc_curve
 from repro.reporting import bar_chart, grouped_bar_chart, render_table, roc_ascii
-from repro.utils import SeedSequence, Stopwatch, derive_rng, rng_from_seed
+from repro.utils import SeedSequence, derive_rng, rng_from_seed
 
 
 class TestTables:
@@ -82,15 +82,3 @@ class TestRng:
         streams = list(seeds.children("m", 3))
         values = [stream.integers(10_000) for stream in streams]
         assert len(set(values)) == 3
-
-
-def test_stopwatch_accumulates():
-    watch = Stopwatch()
-    with watch:
-        sum(range(1000))
-    first = watch.elapsed
-    with watch:
-        sum(range(1000))
-    assert watch.elapsed > first
-    watch.reset()
-    assert watch.elapsed == 0.0

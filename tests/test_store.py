@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
-from repro.fi import run_campaign
+from repro.fi import EcoTraces, run_campaign
 from repro.io import (
     load_campaign,
     load_explanations,
@@ -57,6 +57,19 @@ def sdram_analysis(sdram):
     )
     analyzer.summary()
     return analyzer
+
+
+def _rewire_first_input(verilog: str, instance: str):
+    """Parse ``verilog`` with gate ``instance``'s first input (pin
+    ``A0``) moved to the design's first primary input: same name,
+    same gates, different wiring."""
+    import re
+
+    source = from_verilog(verilog).input_names()[0]
+    edited, count = re.subn(rf"\b{instance} \(\.A0\([^)]*\)",
+                            f"{instance} (.A0({source})", verilog)
+    assert count == 1
+    return from_verilog(edited)
 
 
 def _text_writer(text):
@@ -104,12 +117,78 @@ class TestFingerprints:
             suite_b
         )
 
-    def test_campaign_fingerprint_reexported_from_checkpoint(self):
-        from repro.fi.checkpoint import (
-            campaign_fingerprint as legacy,
+    def test_campaign_fingerprint_tracks_structure(self, sdram,
+                                                   tmp_path,
+                                                   monkeypatch):
+        """A rewired design keeps its name but not its ground truth:
+        the campaign fingerprint, and the store keys behind resume and
+        ECO, must tell the two apart.  The edited ``sdram`` reuses no
+        unit and no traces of the original and equals its own fresh
+        campaign."""
+        from repro.fi import run_campaign_with_traces, run_eco_campaign
+        from repro.fi.faults import full_fault_universe
+        from repro.sim.bitparallel import BitParallelSimulator
+        from repro.utils.errors import EcoError
+
+        text = to_verilog(sdram)
+        edited = _rewire_first_input(text, "U12")
+        assert edited.name == sdram.name
+        workloads = design_workloads("sdram", sdram, count=2,
+                                     cycles=30, seed=0)
+        faults = full_fault_universe(sdram)
+        assert sorted(f.name for f in full_fault_universe(edited)) == (
+            sorted(f.name for f in faults)
+        )
+        args = (workloads, faults, 0.2, False, "all-outputs")
+        assert campaign_fingerprint(sdram, *args) != (
+            campaign_fingerprint(edited, *args)
         )
 
-        assert legacy is campaign_fingerprint
+        # Leave the original's traces and units (a killed run) behind.
+        store = ArtifactStore(tmp_path / "store")
+        run_campaign_with_traces(sdram, workloads, store=store)
+        real = BitParallelSimulator.run_fault_passes
+        passes = {"n": 0}
+
+        def dying(self, *args, **kwargs):
+            if passes["n"] == 1:
+                raise KeyboardInterrupt
+            passes["n"] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(BitParallelSimulator, "run_fault_passes",
+                            dying)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(sdram, workloads, shard_size=100, store=store)
+        assert store.stats()["by_kind"]["unit"] == len(workloads)
+
+        simulated = []
+
+        def counted(self, batch, *args, **kwargs):
+            simulated.extend(w.name for w in batch)
+            return real(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(BitParallelSimulator, "run_fault_passes",
+                            counted)
+        resumed = run_campaign(edited, workloads, shard_size=100,
+                               store=store)
+        n_shards = -(-len(faults) // 100)
+        assert len(simulated) == n_shards * len(workloads)
+        monkeypatch.undo()
+        fresh = run_campaign(edited, workloads)
+        assert np.array_equal(resumed.error_cycles, fresh.error_cycles)
+        assert np.array_equal(resumed.detection_cycle,
+                              fresh.detection_cycle)
+        assert np.array_equal(resumed.latent, fresh.latent)
+
+        # ECO from the edited design finds no baseline in the store,
+        # and the original's traces are refused for the edited base.
+        _, original_traces = run_campaign_with_traces(sdram, workloads)
+        with pytest.raises(EcoError, match="holds no complete campaign"):
+            run_eco_campaign(edited, sdram, workloads, store=store)
+        with pytest.raises(EcoError, match="different campaign"):
+            run_eco_campaign(edited, sdram, workloads, base=fresh,
+                             base_traces=original_traces)
 
     def test_stage_keys_chain_parents(self):
         a = K.stage_key("netlist", {"fingerprint": "x"})
@@ -205,6 +284,7 @@ class TestArtifactStore:
             "gridsearch": lambda p: json.loads(
                 Path(p).read_text()
             )["points"],
+            "traces": EcoTraces.load,
         }
         for kind, reader in readers.items():
             key = canonical_hash({"kind": kind})
@@ -298,12 +378,7 @@ class TestDurability:
             lambda a, b: (events.append("replace"),
                           real_replace(a, b))[1],
         )
-        io_module.save_workload_checkpoint(
-            tmp_path / "unit.npz", fingerprint="fp", workload_index=0,
-            error_cycles=np.zeros(3, dtype=np.int64),
-            detection_cycle=np.zeros(3, dtype=np.int64),
-            latent=np.zeros(3, dtype=bool), elapsed_seconds=0.0,
-        )
+        io_module.atomic_write_text(tmp_path / "index.json", "{}")
         assert "fsync" in events and "replace" in events
         # file fsync strictly precedes the rename; the parent
         # directory is synced after it.
@@ -418,6 +493,111 @@ class TestStoreWriteFailures:
         assert "continuing uncached" in caplog.text
 
 
+#: A directory that refuses writes, as ``chmod`` cannot show it to a
+#: test running as root.
+READ_ONLY_ERRORS = [
+    PermissionError(errno.EACCES, os.strerror(errno.EACCES)),
+    OSError(errno.EROFS, os.strerror(errno.EROFS)),
+]
+
+
+def _refuse(error):
+    def refuse(*_args, **_kwargs):
+        raise error
+
+    return refuse
+
+
+class TestStoreReadFailures:
+    """Reads are best-effort on a store that refuses writes: the index
+    update after a hit and the removal of a bad entry are logged and
+    skipped, never raised."""
+
+    def _read_only(self, monkeypatch, error):
+        import repro.store.store as store_module
+
+        monkeypatch.setattr(store_module, "atomic_write_text",
+                            _refuse(error))
+        monkeypatch.setattr(Path, "unlink", _refuse(error))
+        monkeypatch.setattr(os, "link", _refuse(error))
+
+    @pytest.mark.parametrize("error", READ_ONLY_ERRORS,
+                             ids=["EACCES", "EROFS"])
+    def test_hit_on_read_only_store_is_served(self, store, monkeypatch,
+                                              caplog, error):
+        key = K.stage_key("netlist", {"fingerprint": "ro"})
+        store.put(key, "netlist", _text_writer("module m; endmodule"))
+        reader = ArtifactStore(store.directory)
+        self._read_only(monkeypatch, error)
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            text = reader.get(key, "netlist",
+                              lambda p: Path(p).read_text())
+        assert text == "module m; endmodule"
+        assert "not updated" in caplog.text
+
+    @pytest.mark.parametrize("error", READ_ONLY_ERRORS,
+                             ids=["EACCES", "EROFS"])
+    def test_corrupt_entry_on_read_only_store_is_a_miss(
+        self, store, monkeypatch, caplog, error,
+    ):
+        key = K.stage_key("netlist", {"fingerprint": "ro-bad"})
+        store.put(key, "netlist", _text_writer("module m; endmodule"))
+        path = store.object_path(key, "netlist")
+        path.write_text("torn", encoding="utf-8")
+        self._read_only(monkeypatch, error)
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            assert store.get(key, "netlist",
+                             lambda p: Path(p).read_text()) is None
+        assert "failed validation" in caplog.text
+        assert "could not be removed" in caplog.text
+        monkeypatch.undo()
+        assert path.exists()  # the refused unlink left it in place
+
+    @pytest.mark.parametrize("error", READ_ONLY_ERRORS,
+                             ids=["EACCES", "EROFS"])
+    def test_read_only_store_never_fails_analysis(
+        self, sdram, sdram_analysis, tmp_path, monkeypatch, error,
+    ):
+        directory = tmp_path / "store"
+        FaultCriticalityAnalyzer(
+            sdram, AnalyzerConfig(**SMALL),
+            store=ArtifactStore(directory),
+        ).summary()
+        # a torn entry too, so the read path also tries an unlink
+        (victim,) = directory.rglob("*.dataset.json")
+        victim.write_text("{", encoding="utf-8")
+        self._read_only(monkeypatch, error)
+        warm = FaultCriticalityAnalyzer(
+            sdram, AnalyzerConfig(**SMALL),
+            store=ArtifactStore(directory),
+        )
+        assert warm.validation_accuracy() == (
+            sdram_analysis.validation_accuracy()
+        )
+        assert np.array_equal(warm.campaign.error_cycles,
+                              sdram_analysis.campaign.error_cycles)
+
+    def test_gc_between_exists_and_read_is_a_miss(self, store, caplog):
+        """Another process's ``gc`` evicts the entry after ``get`` saw
+        it on disk and before the reader opens it: a logged miss."""
+        key = K.stage_key("netlist", {"fingerprint": "gc-race"})
+        store.put(key, "netlist", _text_writer("module m; endmodule"))
+        reader_store = ArtifactStore(store.directory)
+
+        def racing_reader(path):
+            ArtifactStore(store.directory).gc(byte_budget=0)
+            return Path(path).read_text()
+
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            assert reader_store.get(key, "netlist", racing_reader) is None
+        assert "failed validation" in caplog.text
+        assert not store.object_path(key, "netlist").exists()
+        # the slot is writable again
+        reader_store.put(key, "netlist", _text_writer("again"))
+        assert reader_store.get(key, "netlist",
+                                lambda p: Path(p).read_text()) == "again"
+
+
 # ----------------------------------------------------------------------
 # memoized pipeline: warm == cold, bitwise
 # ----------------------------------------------------------------------
@@ -510,7 +690,7 @@ class TestMemoizedAnalysis:
             )],
         )
         result = memoized_campaign(
-            store, sdram, workloads, compute=lambda: partial
+            store, sdram, workloads, compute=lambda store: partial
         )
         assert result is partial
         assert store.stats()["by_kind"].get("campaign") is None
@@ -521,7 +701,8 @@ class TestMemoizedAnalysis:
                                      cycles=30, seed=0)
         memoized_campaign(
             store, sdram, workloads,
-            compute=lambda: run_campaign(sdram, workloads),
+            compute=lambda store: run_campaign(sdram, workloads,
+                                               store=store),
         )
         # Edit the design: re-drive one output through an extra
         # buffer pair (structure changes, fault universe grows).
@@ -535,9 +716,9 @@ class TestMemoizedAnalysis:
 
         calls = {"cold": 0}
 
-        def cold_compute():
+        def cold_compute(store):
             calls["cold"] += 1
-            return run_campaign(edited, edited_workloads)
+            return run_campaign(edited, edited_workloads, store=store)
 
         recovered = memoized_campaign(
             store, edited, edited_workloads, compute=cold_compute
