@@ -21,6 +21,25 @@ from repro.netlist import Netlist
 
 
 @pytest.fixture(scope="session")
+def stored_campaign():
+    """Run a campaign on an artifact store and cache it whole, the way
+    ``repro campaign --store`` does (which drops its units); returns
+    the result."""
+    from repro.fi import run_campaign
+    from repro.store import memoized_campaign
+
+    def run(store, netlist, workloads, **options):
+        return memoized_campaign(
+            store, netlist, workloads,
+            collapse=options.get("collapse", False),
+            compute=lambda store: run_campaign(netlist, workloads,
+                                               store=store, **options),
+        )
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def sdram():
     return build_sdram_controller()
 
