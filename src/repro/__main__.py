@@ -18,10 +18,10 @@ store that memoizes every expensive stage across invocations, so a
 warm rerun is O(read).  It also holds a running FI campaign's
 completed units: rerunning an interrupted ``analyze`` or ``campaign``
 with the same ``--store`` resumes it, bitwise identical to an
-uninterrupted run.  ``campaign --eco-traces`` stores a baseline's ECO
-traces there, and ``--eco`` reads its baseline from it.  All store
-diagnostics go to stderr; stdout is bitwise identical between cold
-and warm runs.
+uninterrupted run.  A campaign is stored under its content key, so
+``campaign`` and ``analyze`` of the same suite share one entry, and
+``--eco`` reads its baseline from it.  All store diagnostics go to
+stderr; stdout is bitwise identical between cold and warm runs.
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ def cmd_campaign(args) -> int:
                                  count=args.workloads,
                                  cycles=args.cycles, seed=args.seed)
     store = _open_store(args)
-    if (args.eco or args.eco_traces) and store is None:
-        flag = "--eco" if args.eco else "--eco-traces"
-        print(f"error: {flag} needs --store (the store that holds the "
-              "baseline campaign and its ECO traces)", file=sys.stderr)
+    if args.eco and store is None:
+        print("error: --eco needs --store (the store that holds the "
+              "baseline campaign)", file=sys.stderr)
         return 2
     if args.eco:
         from repro.fi import run_eco_campaign
@@ -208,14 +207,6 @@ def cmd_campaign(args) -> int:
         _print_eco_header(eco)
         print()
         campaign = eco.result
-    elif args.eco_traces:
-        from repro.fi import run_campaign_with_traces
-
-        campaign, _ = run_campaign_with_traces(design, workloads,
-                                               store=store)
-        print(f"ECO traces -> {args.store} (later: repro campaign "
-              f"{args.design} --eco EDITED.v --store {args.store})")
-        print()
     else:
         def compute(store=None):
             return run_campaign(
@@ -506,11 +497,6 @@ def main(argv=None) -> int:
                                "baseline campaign in --store; the "
                                "merged result is bitwise identical to "
                                "a full rerun")
-    campaign.add_argument("--eco-traces", action="store_true",
-                          help="baseline prep: serial campaign that "
-                               "also records ECO traces into --store, "
-                               "unlocking --eco's trace-merge fast "
-                               "path")
     _add_store_flags(campaign)
     _add_pool_flags(campaign)
 

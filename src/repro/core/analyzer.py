@@ -621,12 +621,13 @@ class FaultCriticalityAnalyzer:
         features, dataset, and graph are bitwise identical to a full
         from-scratch run on ``new_netlist``.
 
-        The baseline is the :attr:`campaign` (a store hit, or computed
-        now).  With a store attached, baseline mismatch traces stored
-        there by :func:`repro.fi.run_campaign_with_traces` (``repro
-        campaign --eco-traces --store``) unlock the trace-merge fast
-        path.  Raises :class:`~repro.utils.errors.EcoError` when the
-        baseline cannot be soundly reused.
+        The baseline is the :attr:`campaign` (a store hit, whichever
+        command stored it, or computed now).  The dirty faults are
+        re-simulated on the cone of the design they can disturb; with
+        a store attached, that sub-campaign stores its units there, so
+        a killed update resumes on rerun.  Raises
+        :class:`~repro.utils.errors.EcoError` when the baseline cannot
+        be soundly reused.
         """
         from repro.fi.eco import _remap_workloads
 

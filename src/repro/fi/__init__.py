@@ -33,11 +33,8 @@ from repro.fi.diagnosis import DiagnosisCandidate, FaultDictionary
 from repro.fi.eco import (
     DirtyRegion,
     EcoResult,
-    EcoTraces,
     compute_dirty_region,
     extract_dirty_cone,
-    extract_support_cone,
-    run_campaign_with_traces,
     run_eco_campaign,
     run_eco_transient_campaign,
 )
@@ -82,11 +79,8 @@ __all__ = [
     "FaultDictionary",
     "DirtyRegion",
     "EcoResult",
-    "EcoTraces",
     "compute_dirty_region",
     "extract_dirty_cone",
-    "extract_support_cone",
-    "run_campaign_with_traces",
     "run_eco_campaign",
     "run_eco_transient_campaign",
     "CollapsedUniverse",

@@ -46,9 +46,7 @@ policies.
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Dict,
     FrozenSet,
@@ -58,7 +56,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -73,9 +70,7 @@ from repro.netlist.diff import NetlistDiff, diff_netlists
 from repro.netlist.netlist import Netlist
 from repro.sim.waveform import Workload
 from repro.utils.errors import EcoError
-from repro.utils.fingerprint import campaign_fingerprint, observation_key
-
-PathLike = Union[str, Path]
+from repro.utils.fingerprint import observation_key
 
 
 # ----------------------------------------------------------------------
@@ -439,13 +434,11 @@ def extract_dirty_cone(netlist: Netlist, fault_nodes: Iterable[str],
 
 
 def _materialize_cone(netlist: Netlist, cone: np.ndarray,
-                      forced_pi_ports: Set[str],
-                      retained_ports: Optional[Set[str]] = None,
-                      ) -> Netlist:
+                      forced_pi_ports: Set[str]) -> Netlist:
     """Build the induced sub-netlist for a cone mask, preserving net,
-    port, and instance names.  ``retained_ports`` restricts which
-    gate-driven output ports survive (``None`` keeps every mapped one);
-    PI-bound ports survive only when listed in ``forced_pi_ports``."""
+    port, and instance names.  Every mapped gate-driven output port
+    survives; PI-bound ports survive only when listed in
+    ``forced_pi_ports``."""
     from repro.netlist.cells import FEEDBACK_PORTS
 
     port_net = {port: net for net, port in netlist.primary_outputs}
@@ -497,11 +490,10 @@ def _materialize_cone(netlist: Netlist, cone: np.ndarray,
         mapped = net_map.get(net)
         if mapped is None:
             continue
-        if netlist.nets[net].driver is None:
+        if netlist.nets[net].driver is None and (
+            port not in forced_pi_ports
+        ):
             # PI-bound ports can never mismatch; keep strobes only.
-            if port not in forced_pi_ports:
-                continue
-        elif retained_ports is not None and port not in retained_ports:
             continue
         sub.add_output(mapped, port)
     return sub
@@ -544,554 +536,6 @@ def _cone_faults(sub: Netlist, faults: Sequence) -> List:
     return rebuilt
 
 
-def extract_support_cone(
-    new: Netlist,
-    diff: NetlistDiff,
-    observation,
-    fault_nodes: Iterable[str],
-    affected_ports: Iterable[str],
-):
-    """The sub-design on which every dirty fault's effect on the
-    *affected* outputs and *affected* flops replays exactly.
-
-    Unlike :func:`extract_dirty_cone` (which chases each dirty fault's
-    full forward observation cone — design-wide as soon as one dirty
-    gate has global fanout), this cone is assembled purely from
-    **backward** support closures: the fanin cones of the affected
-    output drivers, the affected flops (those forward of the edit,
-    whose end-state feeds the latent classification), the strobes
-    observing any retained affected output, and the dirty fault gates
-    themselves.  Clean outputs and clean flops are *not* reproduced —
-    the trace-merge path takes their mismatch contributions from the
-    baseline's recorded traces instead.
-
-    Returns ``(sub, sub_spec, retained_affected, affected_flops)``:
-    the sub-netlist, its restricted observation spec, the affected
-    ports it retains as outputs, and the node names of the affected
-    flops (all present in the cone).
-    """
-    from repro.fi.observation import ObservationSpec
-
-    port_net = {port: net for net, port in new.primary_outputs}
-    seeds = _seed_gates(new, diff, "new")
-    forward = _forward_closure(new, seeds)
-    affected_flops = [
-        new.gates[int(index)].node_name
-        for index in np.flatnonzero(forward)
-        if new.gates[int(index)].cell.sequential
-    ]
-
-    index_of = {gate.node_name: gate.index for gate in new.gates}
-    anchors: Set[int] = {
-        index_of[name] for name in fault_nodes if name in index_of
-    }
-    anchors.update(index_of[name] for name in affected_flops)
-
-    retained: Set[str] = set()
-    forced_pi_ports: Set[str] = set()
-    for port in affected_ports:
-        net = port_net.get(port)
-        if net is None:
-            continue  # removed port — only the old design has it
-        driver = new.nets[net].driver
-        if driver is None:
-            # PI-bound ports can never mismatch in any machine.
-            continue
-        anchors.add(driver)
-        retained.add(port)
-
-    if isinstance(observation, ObservationSpec):
-        # Compare masks come from golden strobe traces: every strobe
-        # observing a retained output needs its port and support in the
-        # cone (strobes can chain, hence the fixpoint).
-        changed = True
-        while changed:
-            changed = False
-            for target, (strobe, _) in observation.strobes.items():
-                applies = any(
-                    name == target or name.startswith(target + "_")
-                    for name in retained
-                )
-                if not applies or strobe in retained:
-                    continue
-                if strobe in forced_pi_ports:
-                    continue
-                strobe_net = port_net[strobe]
-                driver = new.nets[strobe_net].driver
-                if driver is None:
-                    forced_pi_ports.add(strobe)
-                else:
-                    anchors.add(driver)
-                    retained.add(strobe)
-                changed = True
-
-    cone = _backward_closure(new, anchors)
-    sub = _materialize_cone(new, cone, forced_pi_ports, retained)
-    sub_spec = _filter_observation(observation, sub.output_names())
-    retained_affected = {
-        port for port in affected_ports if port in retained
-    }
-    return sub, sub_spec, retained_affected, affected_flops
-
-
-# ----------------------------------------------------------------------
-# Baseline mismatch traces (the trace-merge fast path's fuel)
-# ----------------------------------------------------------------------
-@dataclass
-class EcoTraces:
-    """Per-output / per-flop mismatch traces of a baseline campaign.
-
-    Recorded by :func:`run_campaign_with_traces`: for every workload,
-    the strobe-gated golden-vs-faulty mismatch words of each output on
-    each cycle, and each flop's end-of-run state-corruption words.
-    They let :func:`run_eco_campaign` rebuild a dirty fault's full row
-    from (a) the baseline's clean-output/clean-flop contributions —
-    provably unchanged by the edit — plus (b) a fresh simulation of
-    only the affected-support cone, which is what turns "re-simulate 4%
-    of the faults" into an actual wall-clock win on designs where dirty
-    gates have global fanout.
-    """
-
-    fingerprint: str
-    netlist_name: str
-    workload_names: List[str]
-    output_names: List[str]
-    flop_names: List[str]
-    fault_nodes: List[str]
-    fault_stuck: np.ndarray        # int8 per fault
-    output_diff: List[np.ndarray]  # per workload (cycles, outs, words)
-    flop_end_diff: List[np.ndarray]  # per workload (flops, words)
-
-    def fault_keys(self) -> List[Tuple[str, int, int]]:
-        return [
-            (node, int(stuck), -1)
-            for node, stuck in zip(self.fault_nodes, self.fault_stuck)
-        ]
-
-    def save(self, path: PathLike) -> None:
-        payload: Dict[str, np.ndarray] = {
-            "fingerprint": np.array(self.fingerprint),
-            "netlist_name": np.array(self.netlist_name),
-            "workload_names": np.array(self.workload_names, dtype="U"),
-            "output_names": np.array(self.output_names, dtype="U"),
-            "flop_names": np.array(self.flop_names, dtype="U"),
-            "fault_nodes": np.array(self.fault_nodes, dtype="U"),
-            "fault_stuck": np.asarray(self.fault_stuck, dtype=np.int8),
-        }
-        for row, array in enumerate(self.output_diff):
-            payload[f"output_diff_{row}"] = array
-        for row, array in enumerate(self.flop_end_diff):
-            payload[f"flop_end_diff_{row}"] = array
-        # Uncompressed on purpose: the traces are read on every ECO
-        # run and zlib decompression would dominate the warm path.
-        np.savez(str(path), **payload)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "EcoTraces":
-        try:
-            with np.load(str(path)) as archive:
-                workload_names = [
-                    str(name) for name in archive["workload_names"]
-                ]
-                return cls(
-                    fingerprint=str(archive["fingerprint"]),
-                    netlist_name=str(archive["netlist_name"]),
-                    workload_names=workload_names,
-                    output_names=[
-                        str(name) for name in archive["output_names"]
-                    ],
-                    flop_names=[
-                        str(name) for name in archive["flop_names"]
-                    ],
-                    fault_nodes=[
-                        str(name) for name in archive["fault_nodes"]
-                    ],
-                    fault_stuck=archive["fault_stuck"],
-                    output_diff=[
-                        archive[f"output_diff_{row}"]
-                        for row in range(len(workload_names))
-                    ],
-                    flop_end_diff=[
-                        archive[f"flop_end_diff_{row}"]
-                        for row in range(len(workload_names))
-                    ],
-                )
-        except (KeyError, ValueError, OSError, zipfile.BadZipFile
-               ) as error:
-            raise EcoError(
-                f"ECO traces {path} are corrupt or truncated: {error}"
-            ) from error
-
-
-def run_campaign_with_traces(
-    netlist: Netlist,
-    workloads: Sequence[Workload],
-    faults: Optional[Sequence[Fault]] = None,
-    observation="auto",
-    severity="auto",
-    *,
-    store=None,
-):
-    """Serial full campaign that additionally records ECO reuse traces.
-
-    Returns ``(result, traces)`` where ``result`` is bitwise identical
-    to ``run_campaign(...)`` under the default serial policy and
-    ``traces`` is the :class:`EcoTraces` record that unlocks
-    :func:`run_eco_campaign`'s trace-merge fast path.  With ``store``
-    (an :class:`~repro.store.ArtifactStore`) set, the campaign is
-    cached there like any complete campaign and the traces beside it
-    under the same campaign key, where ``run_eco_campaign(store=...)``
-    and ``repro campaign|analyze --eco --store`` find both.  Only the
-    full fault universe is cached.
-    """
-    import time
-
-    from repro.fi.runner import CampaignRunner
-    from repro.sim.bitparallel import BitParallelSimulator, PassTrace
-
-    if store is not None and faults is not None:
-        raise EcoError(
-            "store= caches full-universe campaigns only; drop faults="
-        )
-    runner = CampaignRunner(
-        netlist, workloads, faults=faults, observation=observation,
-        severity=severity, collapse=False,
-    )
-
-    engine = BitParallelSimulator(netlist)
-    flop_names = [
-        gate.node_name for gate in netlist.sequential_gates()
-    ]
-    n_outputs = len(netlist.primary_outputs)
-    n_faults = len(runner.faults)
-    n_words = (n_faults + 1 + 63) // 64
-    n_workloads = len(runner.workloads)
-
-    error_cycles = np.zeros((n_workloads, n_faults), dtype=np.int64)
-    detection = np.full((n_workloads, n_faults), -1, dtype=np.int64)
-    latent = np.zeros((n_workloads, n_faults), dtype=bool)
-    output_diff: List[np.ndarray] = []
-    flop_end_diff: List[np.ndarray] = []
-    total_elapsed = 0.0
-    for row, workload in enumerate(runner.workloads):
-        trace = PassTrace.allocate(
-            workload.cycles, n_outputs, len(flop_names), n_words
-        )
-        started = time.perf_counter()
-        value = engine.run_fault_pass(
-            workload, runner._fault_nets, runner._fault_values,
-            observation=runner._compiled, trace=trace,
-        )
-        elapsed = time.perf_counter() - started
-        total_elapsed += elapsed
-        error_cycles[row], detection[row], latent[row] = value
-        output_diff.append(trace.output_diff)
-        flop_end_diff.append(trace.flop_end_diff)
-
-    result = CampaignResult(
-        netlist_name=netlist.name,
-        faults=runner.faults,
-        workload_names=[w.name for w in runner.workloads],
-        workload_cycles=np.array(
-            [w.cycles for w in runner.workloads], dtype=np.int64
-        ),
-        error_cycles=error_cycles,
-        detection_cycle=detection,
-        latent=latent,
-        severity=runner.severity,
-        simulation_seconds=total_elapsed,
-    )
-    traces = EcoTraces(
-        fingerprint=campaign_fingerprint(
-            netlist, runner.workloads, runner._simulated,
-            runner.severity, False, runner._observation_key,
-        ),
-        netlist_name=netlist.name,
-        workload_names=[w.name for w in runner.workloads],
-        output_names=netlist.output_names(),
-        flop_names=flop_names,
-        fault_nodes=[fault.node_name for fault in runner.faults],
-        fault_stuck=np.array(
-            [fault.stuck_at for fault in runner.faults], dtype=np.int8
-        ),
-        output_diff=output_diff,
-        flop_end_diff=flop_end_diff,
-    )
-    if store is not None:
-        from repro.store import keys as K
-        from repro.store.memo import publish_campaign, put_or_warn
-
-        identity = K.campaign_identity(
-            netlist, runner.workloads, severity=runner.severity,
-            collapse=False, observation=runner._observation_key,
-        )
-        publish_campaign(store, netlist, result, identity=identity)
-        put_or_warn(store, K.traces_key(K.campaign_key(**identity)),
-                    "traces", traces.save,
-                    meta={"design": netlist.name})
-    return result, traces
-
-
-def _machine_bits(words: np.ndarray,
-                  machines: np.ndarray) -> np.ndarray:
-    """Select machine bit columns from packed mismatch words.
-
-    ``words`` is ``(..., n_words)`` uint64; returns a boolean array of
-    shape ``(..., len(machines))``.
-    """
-    word_index = (machines >> 6).astype(np.intp)
-    shifts = (machines & 63).astype(np.uint64)
-    return ((words[..., word_index] >> shifts)
-            & np.uint64(1)).astype(bool)
-
-
-def _trace_merge_dirty(
-    old: Netlist,
-    new: Netlist,
-    diff: NetlistDiff,
-    region: DirtyRegion,
-    spec,
-    workloads: Sequence[Workload],
-    base: CampaignResult,
-    base_columns: Dict[Tuple[str, int, int], int],
-    traces: EcoTraces,
-    dirty_faults: Sequence[Fault],
-    severity_old: float,
-) -> Optional[CampaignResult]:
-    """Rebuild the dirty faults' rows from baseline traces plus one
-    affected-support-cone pass per workload.
-
-    Returns ``None`` when the traces cannot soundly cover this edit
-    (non-stuck-at faults, or a dirty fault on a pre-existing node with
-    no baseline lane); raises :class:`EcoError` when the traces
-    plainly belong to a different campaign.
-    """
-    import time
-
-    from repro.fi.observation import ObservationSpec
-    from repro.sim.bitparallel import BitParallelSimulator, PassTrace
-
-    if any(not hasattr(fault, "stuck_at") for fault in dirty_faults):
-        return None
-    old_nodes = {gate.node_name for gate in old.gates}
-    base_machines = np.zeros(len(dirty_faults), dtype=np.int64)
-    has_lane = np.zeros(len(dirty_faults), dtype=bool)
-    for position, fault in enumerate(dirty_faults):
-        column = base_columns.get(_fault_key(fault))
-        if column is None:
-            if fault.node_name in old_nodes:
-                return None  # pre-existing node, no cached lane
-            continue  # added node: clean contribution provably zero
-        base_machines[position] = column + 1
-        has_lane[position] = True
-
-    expected = campaign_fingerprint(
-        old, workloads, base.faults, severity_old, False,
-        observation_key(spec),
-    )
-    if traces.fingerprint != expected:
-        raise EcoError(
-            "ECO traces belong to a different campaign "
-            "(netlist, workload stimulus, fault universe, severity, or "
-            "observation policy changed) — refusing to merge"
-        )
-    if traces.fault_keys() != [_fault_key(f) for f in base.faults]:
-        raise EcoError(
-            "ECO trace fault lanes do not match the baseline "
-            "fault universe — refusing to merge"
-        )
-
-    affected = set(region.affected_outputs)
-    clean_ports = [
-        name for name in new.output_names() if name not in affected
-    ]
-    base_out_position = {
-        name: i for i, name in enumerate(traces.output_names)
-    }
-    if any(port not in base_out_position for port in clean_ports):
-        return None  # clean port unseen by the baseline traces
-    clean_out_rows = np.array(
-        [base_out_position[port] for port in clean_ports],
-        dtype=np.intp,
-    )
-
-    started = time.perf_counter()
-    sub, sub_spec, retained_affected, affected_flops = (
-        extract_support_cone(
-            new, diff, spec,
-            {fault.node_name for fault in dirty_faults}, affected,
-        )
-    )
-    affected_flop_set = set(affected_flops)
-    clean_flops = [
-        gate.node_name for gate in new.sequential_gates()
-        if gate.node_name not in affected_flop_set
-    ]
-    base_flop_position = {
-        name: i for i, name in enumerate(traces.flop_names)
-    }
-    if any(name not in base_flop_position for name in clean_flops):
-        return None  # clean flop unseen by the baseline traces
-    clean_flop_rows = np.array(
-        [base_flop_position[name] for name in clean_flops],
-        dtype=np.intp,
-    )
-
-    cone_faults = _cone_faults(sub, dirty_faults)
-    fault_nets = np.array(
-        [fault.net_index for fault in cone_faults], dtype=np.intp
-    )
-    fault_values = np.array(
-        [fault.stuck_at for fault in cone_faults], dtype=np.uint8
-    )
-    n_dirty = len(dirty_faults)
-    cone_machines = np.arange(1, n_dirty + 1, dtype=np.int64)
-    cone_words = (n_dirty + 1 + 63) // 64
-    sub_outputs = sub.output_names()
-    affected_out_rows = np.array(
-        [i for i, name in enumerate(sub_outputs)
-         if name in retained_affected],
-        dtype=np.intp,
-    )
-    sub_flop_names = [
-        gate.node_name for gate in sub.sequential_gates()
-    ]
-    affected_flop_rows = np.array(
-        [i for i, name in enumerate(sub_flop_names)
-         if name in affected_flop_set],
-        dtype=np.intp,
-    )
-    compiled = (
-        sub_spec.compile(sub)
-        if isinstance(sub_spec, ObservationSpec) else None
-    )
-    engine = BitParallelSimulator(sub)
-    remapped = _remap_workloads(sub, workloads)
-
-    n_workloads = len(workloads)
-    error_cycles = np.zeros((n_workloads, n_dirty), dtype=np.int64)
-    detection = np.full((n_workloads, n_dirty), -1, dtype=np.int64)
-    latent = np.zeros((n_workloads, n_dirty), dtype=bool)
-
-    # With uniform cycle counts the whole suite packs into a single
-    # bit-parallel pass (per-workload golden lanes), dividing the cone
-    # pass's per-cycle dispatch cost by the workload count.
-    packed = None
-    packed_out_union = None
-    packed_end_union = None
-    span = n_dirty + 1
-    if len({w.cycles for w in remapped}) == 1:
-        packed = PassTrace.allocate(
-            remapped[0].cycles, len(sub_outputs), len(sub_flop_names),
-            (len(remapped) * span + 63) // 64,
-        )
-        engine.run_fault_passes(
-            remapped, fault_nets, fault_values, observation=compiled,
-            trace=packed,
-        )
-        if affected_out_rows.size:
-            packed_out_union = np.bitwise_or.reduce(
-                packed.output_diff[:, affected_out_rows, :], axis=1
-            )
-        if affected_flop_rows.size:
-            packed_end_union = np.bitwise_or.reduce(
-                packed.flop_end_diff[affected_flop_rows], axis=0
-            )
-
-    for row, workload in enumerate(remapped):
-        if packed is None:
-            trace = PassTrace.allocate(
-                workload.cycles, len(sub_outputs), len(sub_flop_names),
-                cone_words,
-            )
-            engine.run_fault_pass(
-                workload, fault_nets, fault_values,
-                observation=compiled, trace=trace,
-            )
-
-        base_out = traces.output_diff[row]
-        if base_out.shape[0] != workload.cycles:
-            raise EcoError(
-                f"ECO trace cycle count for workload "
-                f"{workload.name!r} differs from the given suite"
-            )
-        if clean_out_rows.size:
-            clean_union = np.bitwise_or.reduce(
-                base_out[:, clean_out_rows, :], axis=1
-            )
-            clean_bits = _machine_bits(clean_union, base_machines)
-            clean_bits[:, ~has_lane] = False
-        else:
-            clean_bits = np.zeros(
-                (workload.cycles, n_dirty), dtype=bool
-            )
-        if packed is not None:
-            if packed_out_union is not None:
-                affected_bits = _machine_bits(
-                    packed_out_union, row * span + cone_machines
-                )
-            else:
-                affected_bits = np.zeros(
-                    (workload.cycles, n_dirty), dtype=bool
-                )
-        elif affected_out_rows.size:
-            affected_union = np.bitwise_or.reduce(
-                trace.output_diff[:, affected_out_rows, :], axis=1
-            )
-            affected_bits = _machine_bits(affected_union,
-                                          cone_machines)
-        else:
-            affected_bits = np.zeros(
-                (workload.cycles, n_dirty), dtype=bool
-            )
-
-        union = clean_bits | affected_bits
-        error_cycles[row] = union.sum(axis=0, dtype=np.int64)
-        ever = union.any(axis=0)
-        detection[row] = np.where(
-            ever, union.argmax(axis=0), -1
-        )
-
-        if clean_flop_rows.size:
-            clean_end = np.bitwise_or.reduce(
-                traces.flop_end_diff[row][clean_flop_rows], axis=0
-            )
-            clean_corrupt = _machine_bits(clean_end, base_machines)
-            clean_corrupt[~has_lane] = False
-        else:
-            clean_corrupt = np.zeros(n_dirty, dtype=bool)
-        if packed is not None:
-            if packed_end_union is not None:
-                affected_corrupt = _machine_bits(
-                    packed_end_union, row * span + cone_machines
-                )
-            else:
-                affected_corrupt = np.zeros(n_dirty, dtype=bool)
-        elif affected_flop_rows.size:
-            affected_end = np.bitwise_or.reduce(
-                trace.flop_end_diff[affected_flop_rows], axis=0
-            )
-            affected_corrupt = _machine_bits(affected_end,
-                                             cone_machines)
-        else:
-            affected_corrupt = np.zeros(n_dirty, dtype=bool)
-        latent[row] = (clean_corrupt | affected_corrupt) & ~ever
-
-    return CampaignResult(
-        netlist_name=new.name,
-        faults=list(dirty_faults),
-        workload_names=[w.name for w in workloads],
-        workload_cycles=np.array(
-            [w.cycles for w in workloads], dtype=np.int64
-        ),
-        error_cycles=error_cycles,
-        detection_cycle=detection,
-        latent=latent,
-        severity=base.severity,
-        simulation_seconds=time.perf_counter() - started,
-    )
-
-
 def _validate_base_result(base: CampaignResult, old: Netlist,
                           workloads: Sequence[Workload]) -> None:
     if base.netlist_name != old.name:
@@ -1120,20 +564,18 @@ def _validate_base_result(base: CampaignResult, old: Netlist,
 
 
 def _stored_baseline(store, old: Netlist, workloads: Sequence[Workload],
-                     severity: float, observation: str, *,
-                     base: Optional[CampaignResult]):
-    """``(base, traces)`` of the old design from ``store``: ``base``
-    unless given (a collapsed campaign serves as well as a plain one:
-    their rows are identical), and the traces, or ``None``."""
+                     severity: float, observation: str) -> CampaignResult:
+    """The old design's complete campaign from ``store`` (a collapsed
+    campaign serves as well as a plain one: their rows are
+    identical)."""
     from repro.io import load_campaign
     from repro.store import keys as K
 
     identity = K.campaign_identity(old, workloads, severity=severity,
                                    collapse=False,
                                    observation=observation)
-    plain = K.campaign_key(**identity)
-    if base is None:
-        base = store.get(plain, "campaign", load_campaign)
+    base = store.get(K.campaign_key(**identity), "campaign",
+                     load_campaign)
     if base is None:
         base = store.get(K.campaign_key(**{**identity, "collapse": True}),
                          "campaign", load_campaign)
@@ -1143,8 +585,7 @@ def _stored_baseline(store, old: Netlist, workloads: Sequence[Workload],
             f"{old.name!r} under this workload suite and policy — run "
             "the baseline campaign into it first"
         )
-    return base, store.get(K.traces_key(plain), "traces",
-                           EcoTraces.load)
+    return base
 
 
 # ----------------------------------------------------------------------
@@ -1264,7 +705,6 @@ def run_eco_campaign(
     *,
     base: Optional[CampaignResult] = None,
     store=None,
-    base_traces: Optional[EcoTraces] = None,
     faults: Optional[Sequence[Fault]] = None,
     observation="auto",
     severity="auto",
@@ -1291,20 +731,14 @@ def run_eco_campaign(
       old design's complete campaign under its structural key
       (collapsed or not); used when ``base`` is not given.
 
-    With ``store`` set, the dirty re-simulation also stores its units
-    there as they complete, so rerunning a killed ECO campaign on the
-    same store resumes it; they are dropped once it completes.
-
-    When baseline mismatch traces are available — passed as
-    ``base_traces``, or stored in ``store`` beside the baseline (both
-    produced by :func:`run_campaign_with_traces`) — the dirty faults are
-    re-simulated on the *affected-support cone* only and their rows
-    recombined with the baseline's clean-output/clean-flop trace
-    contributions.  That path is what delivers the order-of-magnitude
-    wall-clock win (the fallback re-simulates the dirty faults on the
-    fanout observation cone, which degenerates to the whole design as
-    soon as one dirty gate has global fanout); the merged result is
-    bitwise identical either way.
+    The dirty faults run through :class:`~repro.fi.runner.CampaignRunner`
+    on :func:`extract_dirty_cone`'s sub-design (their fanout
+    observation cones plus the support of those), which holds every
+    gate that can change their rows; on a design where one dirty gate
+    has global fanout that cone is the whole design.  With ``store`` set, the
+    dirty re-simulation also stores its units there as they complete,
+    so rerunning a killed ECO campaign on the same store resumes it;
+    they are dropped once it completes.
 
     The merged result is bitwise identical to
     ``run_campaign(new, workloads, ...)`` for every runner
@@ -1339,13 +773,9 @@ def run_eco_campaign(
     diff = diff_netlists(old, new)
     region = compute_dirty_region(old, new, diff=diff, observation=spec)
 
-    if store is not None:
-        base, stored_traces = _stored_baseline(
-            store, old, workloads, severity_old, observation_key(spec),
-            base=base,
-        )
-        if base_traces is None:
-            base_traces = stored_traces
+    if base is None:
+        base = _stored_baseline(store, old, workloads, severity_old,
+                                observation_key(spec))
     _validate_base_result(base, old, workloads)
 
     new_universe = (
@@ -1364,14 +794,6 @@ def run_eco_campaign(
 
     dirty_result: Optional[CampaignResult] = None
     if dirty_indices:
-        dirty_faults = [new_universe[i] for i in dirty_indices]
-        if base_traces is not None:
-            dirty_result = _trace_merge_dirty(
-                old, new, diff, region, spec, workloads, base,
-                base_columns, base_traces, dirty_faults,
-                severity_old,
-            )
-    if dirty_indices and dirty_result is None:
         dirty_faults = [new_universe[i] for i in dirty_indices]
         cone, cone_spec = extract_dirty_cone(
             new, {fault.node_name for fault in dirty_faults}, spec,

@@ -64,34 +64,6 @@ MISMATCH_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
-class PassTrace:
-    """Optional per-pass mismatch traces for incremental (ECO) reuse.
-
-    ``output_diff[c, o]`` holds the packed golden-vs-faulty mismatch
-    words of output *o* on cycle *c* **after strobe gating** (zero on
-    cycles where the output's strobe is inactive), so any subset union
-    of outputs reproduces the engine's own mismatch accounting bit for
-    bit.  ``flop_end_diff[q]`` holds the end-of-run state-corruption
-    words of flop *q* (the inputs to the latent classification).
-    """
-
-    output_diff: np.ndarray    # uint64 (cycles, n_outputs, n_words)
-    flop_end_diff: np.ndarray  # uint64 (n_flops, n_words)
-
-    @classmethod
-    def allocate(cls, cycles: int, n_outputs: int, n_flops: int,
-                 n_words: int) -> "PassTrace":
-        return cls(
-            output_diff=np.zeros(
-                (cycles, n_outputs, n_words), dtype=np.uint64
-            ),
-            flop_end_diff=np.zeros(
-                (n_flops, n_words), dtype=np.uint64
-            ),
-        )
-
-
-@dataclass
 class GoldenStats:
     """Per-net activity profile accumulated over golden simulations.
 
@@ -466,7 +438,7 @@ class BitParallelSimulator:
 
     def _compare_outputs(
         self, values: np.ndarray, observation, scratch: _PassScratch,
-        spans: _LaneSpans, trace_row: Optional[np.ndarray] = None,
+        spans: _LaneSpans,
     ) -> np.ndarray:
         """One cycle's packed mismatch mask (a view into scratch).
 
@@ -486,14 +458,12 @@ class BitParallelSimulator:
             scratch.diff &= spans.broadcast(
                 observation.compare_mask(golden)
             )
-        if trace_row is not None:
-            trace_row[:] = scratch.diff
         np.bitwise_or.reduce(scratch.diff, axis=0, out=mismatch)
         return mismatch
 
     def _span_results(
         self, accumulator: MismatchAccumulator, values: np.ndarray,
-        spans: _LaneSpans, trace: Optional[PassTrace] = None,
+        spans: _LaneSpans,
     ):
         """Per-span ``(error_cycles, detection_cycle, latent)`` of a
         finished pass, each ``(spans, faults)``.
@@ -510,8 +480,6 @@ class BitParallelSimulator:
         if len(self._flop_out_idx):
             state = values[self._flop_out_idx]
             per_flop = state ^ spans.broadcast(spans.golden(state))
-            if trace is not None:
-                trace.flop_end_diff[:] = per_flop
             corrupted = _machine_flags(
                 np.bitwise_or.reduce(per_flop, axis=0), spans.n_lanes
             )
@@ -654,7 +622,6 @@ class BitParallelSimulator:
         fault_nets: np.ndarray,
         fault_values: np.ndarray,
         observation=None,
-        trace: Optional[PassTrace] = None,
     ):
         """Simulate equal-length workloads against all faults in one
         bit-parallel pass.
@@ -676,11 +643,6 @@ class BitParallelSimulator:
                 given, each output participates in the golden-vs-faulty
                 comparison only on cycles where its strobe is active in
                 the span's golden run.
-            trace: Optional pre-allocated :class:`PassTrace` over all
-                ``ceil(W*(F+1)/64)`` words; when given, the gated
-                per-output mismatch words of every cycle and the
-                end-of-run per-flop state diff are recorded for
-                incremental (ECO) reuse.
 
         Returns:
             ``(error_cycles, detection_cycle, latent)``, each of shape
@@ -718,13 +680,11 @@ class BitParallelSimulator:
         for cycle in range(cycles[0]):
             values[self._pi_idx] = spans.broadcast(stimulus[cycle])
             self._settle(values, masks, scratch)
-            mismatch = self._compare_outputs(
-                values, observation, scratch, spans,
-                trace.output_diff[cycle] if trace is not None else None,
-            )
+            mismatch = self._compare_outputs(values, observation,
+                                             scratch, spans)
             accumulator.record(mismatch, cycle)
             self._commit(values, masks, scratch)
-        return self._span_results(accumulator, values, spans, trace)
+        return self._span_results(accumulator, values, spans)
 
     def _forcing_words(self, spans: _LaneSpans, fault_nets: np.ndarray,
                        fault_values: np.ndarray):
@@ -755,13 +715,12 @@ class BitParallelSimulator:
         fault_nets: np.ndarray,
         fault_values: np.ndarray,
         observation=None,
-        trace: Optional[PassTrace] = None,
     ):
         """:meth:`run_fault_passes` for one workload: per-fault
         ``(error_cycles, detection_cycle, latent)`` vectors."""
         return tuple(row[0] for row in self.run_fault_passes(
             [workload], fault_nets, fault_values,
-            observation=observation, trace=trace,
+            observation=observation,
         ))
 
     # ------------------------------------------------------------------

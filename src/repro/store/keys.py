@@ -4,7 +4,7 @@ Every cached artifact is addressed by a sha256 of its *full input
 closure* — the stage name, every parameter that shapes the stage's
 output bytes, and the keys of the upstream artifacts it was derived
 from.  The scheme composes :func:`repro.utils.fingerprint.canonical_hash`
-(the same primitive behind the ECO traces' campaign guard), so the
+(the primitive behind every fingerprint in that module), so the
 whole repo has exactly one artifact-identity story: equal keys mean
 "produced from identical inputs by the same pipeline version", and any
 input change — a netlist edit, a different seed, a new stimulus suite,
@@ -14,12 +14,17 @@ The key graph mirrors the pipeline DAG::
 
     netlist ─┬────────────────────────────► features ─┐
              ├─ workloads ─► campaign ─► dataset ─────┼─► graph
-             │                 ├─► unit               │     │
-             │                 └─► traces             │     │
+             │                 └─► unit               │     │
              └────────────(vectors)───────────────────┘     ├─► classifier ─► explanations
                                                             ├─► regressor
                                                             ├─► gridsearch
                                                             └─► baselines
+
+A generated stimulus suite is *stored* under its generation recipe
+(:func:`workload_suite_key`), so a warm run skips generating it, but
+everything downstream of it is keyed by its *content*
+(:func:`workloads_key`): a campaign has one key whichever command ran
+it over whichever spelling of the same vectors.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ def campaign_identity(netlist, workloads, *, severity: float,
     suite's keys plus the resolved policy (see :func:`campaign_key`).
 
     This is the meta a stored campaign carries, and
-    ``campaign_key(**identity)`` the key its units, its ECO traces and
+    ``campaign_key(**identity)`` the key the campaign, its units and
     an ECO baseline lookup all use, whichever command ran it.
     """
     return {
@@ -125,11 +130,6 @@ def unit_key(campaign: str, *, faults: str, bounds, row: int) -> str:
          "row": int(row)},
         parents=[campaign],
     )
-
-
-def traces_key(campaign: str) -> str:
-    """Identity of a full-universe campaign's ECO mismatch traces."""
-    return stage_key("traces", {}, parents=[campaign])
 
 
 def features_key(netlist: str, workloads: Optional[str], *,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.store import keys as K
 from repro.store.store import ArtifactStore
@@ -174,7 +174,7 @@ def _near_miss_campaign(store: ArtifactStore, netlist, workloads, *,
 
 def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
                       severity="auto", collapse: bool = False,
-                      compute: Callable, key: Optional[str] = None):
+                      compute: Callable):
     """Get-or-compute-put for one full-universe FI campaign.
 
     The shared engine behind :meth:`AnalysisMemo.campaign` and the
@@ -182,22 +182,20 @@ def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
     near-miss recovery, then cold ``compute(store)``.  ``compute``
     runs the campaign with this store attached, so its completed
     ``(row, shard)`` units are stored as they land and a rerun after
-    a kill resumes from them.  ``key`` is the exact key to cache
-    under (the analyzer addresses its suite by generation recipe);
-    it defaults to the campaign's content key.  Partial campaigns (a
-    non-empty failure ledger) are returned but never cached.
+    a kill resumes from them.  The campaign is keyed by its content
+    identity (design structure, stimulus bytes, resolved policy), so
+    every command that runs the same campaign finds the same entry.
+    Partial campaigns (a non-empty failure ledger) are returned but
+    never cached.
     """
     from repro.io import load_campaign
 
     resolved_severity, observation = _resolve_policy(netlist, severity)
-    # The near-miss probe, the stored meta and the units always use
-    # the *content* identity of the vectors, which is what decides
-    # ECO compatibility across netlists.
     identity = K.campaign_identity(
         netlist, workloads, severity=resolved_severity,
         collapse=collapse, observation=observation,
     )
-    key = key or K.campaign_key(**identity)
+    key = K.campaign_key(**identity)
     hit = store.get(key, "campaign", load_campaign)
     if hit is not None:
         logger.info("store hit: campaign %s", key[:12])
@@ -214,28 +212,27 @@ def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
                     "workload(s) — not cached", key[:12],
                     len(result.failures))
         return result
-    publish_campaign(store, netlist, result, identity=identity, key=key)
+    publish_campaign(store, netlist, result, identity=identity)
     return result
 
 
 def publish_campaign(store: ArtifactStore, netlist, result, *,
-                     identity: dict, key: Optional[str] = None) -> None:
-    """Cache a complete campaign under ``key`` (default: its content
-    key ``campaign_key(**identity)``), with ``identity`` as the meta
-    the ECO near-miss probe matches on and its design's Verilog
-    beside it.
+                     identity: dict) -> None:
+    """Cache a complete campaign under its content key
+    ``campaign_key(**identity)``, with ``identity`` as the meta the
+    ECO near-miss probe matches on and its design's Verilog beside it.
 
     Only once the campaign is stored are its units dropped: a kill
     before that, or a failed write, leaves them for the rerun.
     """
     from repro.io import save_campaign
 
-    content_key = K.campaign_key(**identity)
+    key = K.campaign_key(**identity)
     ensure_netlist_cached(store, netlist)
-    if put_or_warn(store, key or content_key, "campaign",
+    if put_or_warn(store, key, "campaign",
                    lambda path: save_campaign(result, path),
                    meta={"design": netlist.name, **identity}):
-        drop_units(store, content_key)
+        drop_units(store, key)
 
 
 def drop_units(store: ArtifactStore, campaign: str) -> None:
@@ -253,22 +250,6 @@ class AnalysisMemo:
         self.store = store
         self.analyzer = analyzer
         self._key_cache: dict = {}
-
-    # -- resolved policy ----------------------------------------------
-    def _resolved_severity(self) -> float:
-        from repro.fi.campaign import DEFAULT_SEVERITY
-        from repro.fi.observation import severity_for
-
-        severity = self.analyzer.config.severity
-        if severity == "auto":
-            return severity_for(self.analyzer.netlist, DEFAULT_SEVERITY)
-        return float(severity)
-
-    def _resolved_observation(self) -> str:
-        from repro.fi.observation import observation_for
-        from repro.utils.fingerprint import observation_key
-
-        return observation_key(observation_for(self.analyzer.netlist))
 
     # -- stage keys (lazy; hashing workload bytes happens once) -------
     def _key(self, name: str, build: Callable[[], str]) -> str:
@@ -300,11 +281,19 @@ class AnalysisMemo:
         return self._key("workloads", build)
 
     def campaign_key(self) -> str:
-        return self._key("campaign", lambda: K.campaign_key(
-            self.netlist_key(), self.workloads_key(),
-            severity=self._resolved_severity(), collapse=False,
-            observation=self._resolved_observation(),
-        ))
+        # Keyed by content, not by the suite's recipe: the campaign
+        # command and an analysis of the same suite share one entry.
+        def build() -> str:
+            analyzer = self.analyzer
+            severity, observation = _resolve_policy(
+                analyzer.netlist, analyzer.config.severity
+            )
+            return K.campaign_key(**K.campaign_identity(
+                analyzer.netlist, analyzer.workloads, severity=severity,
+                collapse=False, observation=observation,
+            ))
+
+        return self._key("campaign", build)
 
     def features_key(self) -> str:
         config = self.analyzer.config
@@ -365,21 +354,11 @@ class AnalysisMemo:
         )
 
     def campaign(self, compute: Callable):
-        from repro.io import load_campaign
-
-        # Exact-hit fast path before touching ``analyzer.workloads``:
-        # a warm rerun must not pay for stimulus generation.
-        hit = self.store.get(self.campaign_key(), "campaign",
-                             load_campaign)
-        if hit is not None:
-            logger.info("store hit: campaign %s",
-                        self.campaign_key()[:12])
-            return hit
         return memoized_campaign(
             self.store, self.analyzer.netlist,
             self.analyzer.workloads,
             severity=self.analyzer.config.severity,
-            collapse=False, compute=compute, key=self.campaign_key(),
+            collapse=False, compute=compute,
         )
 
     def features(self, compute: Callable):

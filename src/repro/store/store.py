@@ -27,8 +27,9 @@ plus searchable ``meta`` (what the ECO near-miss probe matches on),
 and it is rewritten atomically on every mutation.  A lost update from
 a concurrent process, a crash between object link and index write,
 or a deleted/corrupt index never loses artifacts — :meth:`_load_index`
-reconciles against a directory scan, adopting orphaned objects and
-dropping ghost entries.  Validation failures on read (truncated zip,
+reconciles against a directory scan, adopting orphaned objects,
+dropping ghost entries and deleting objects of a kind this version
+no longer has.  Validation failures on read (truncated zip,
 bad JSON, sha256 mismatch, wrong shapes) are demoted to a logged miss:
 the entry is deleted and the caller recomputes and rewrites it.
 """
@@ -73,8 +74,6 @@ KIND_EXTENSIONS: Dict[str, str] = {
     "baselines": "json",
     # One completed (campaign, row, shard) of an in-progress campaign.
     "unit": "npz",
-    # ECO baseline mismatch traces, under their campaign's key.
-    "traces": "npz",
 }
 
 #: Exceptions that mean "this entry is unusable", never "crash".
@@ -319,6 +318,9 @@ class ArtifactStore:
 
     def _evict(self, key: str, path: Path) -> None:
         self._drop_entry(key)
+        self._remove_object(key, path)
+
+    def _remove_object(self, key: str, path: Path) -> None:
         try:
             path.unlink()
         except FileNotFoundError:
@@ -400,7 +402,12 @@ class ArtifactStore:
         return index
 
     def _reconcile(self) -> None:
-        """Sync index entries with the objects actually on disk."""
+        """Sync index entries with the objects actually on disk.
+
+        Objects of a kind this version does not know (a retired kind
+        left by an older version) are deleted: no index entry or byte
+        budget would ever account for them.
+        """
         on_disk: Dict[str, Tuple[str, Path]] = {}
         for path in self.objects_dir.glob("*/*"):
             if path.name.startswith(".tmp-"):
@@ -411,6 +418,8 @@ class ArtifactStore:
             key, kind = parts[0], parts[1]
             if kind in KIND_EXTENSIONS:
                 on_disk[key] = (kind, path)
+            else:
+                self._remove_object(key, path)
         entries = self._index["entries"]
         for key in [k for k in entries if k not in on_disk]:
             del entries[key]

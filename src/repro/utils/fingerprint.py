@@ -1,10 +1,10 @@
 """The repo's single artifact-identity scheme.
 
-Every durable artifact — the content-addressed :mod:`repro.store`
-entries and the ECO traces' campaign guard — is identified by a
-sha256 fingerprint of its *full input closure*: a canonical-JSON header
-describing every parameter that shapes the artifact's bytes, plus the
-raw bytes of any referenced arrays.  :func:`canonical_hash` is the one
+Every durable artifact — each content-addressed :mod:`repro.store`
+entry — is identified by a sha256 fingerprint of its *full input
+closure*: a canonical-JSON header describing every parameter that
+shapes the artifact's bytes, plus the raw bytes of any referenced
+arrays.  :func:`canonical_hash` is the one
 primitive; the domain helpers here compose it into the identities the
 pipeline uses, so two subsystems can never disagree about whether two
 artifacts were produced from the same inputs.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
-from repro.fi import EcoTraces, run_campaign
+from repro.fi import run_campaign
 from repro.io import (
     load_campaign,
     load_explanations,
@@ -119,13 +119,14 @@ class TestFingerprints:
 
     def test_campaign_fingerprint_tracks_structure(self, sdram,
                                                    tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   stored_campaign):
         """A rewired design keeps its name but not its ground truth:
         the campaign fingerprint, and the store keys behind resume and
         ECO, must tell the two apart.  The edited ``sdram`` reuses no
-        unit and no traces of the original and equals its own fresh
-        campaign."""
-        from repro.fi import run_campaign_with_traces, run_eco_campaign
+        unit of the original, finds no baseline for itself and equals
+        its own fresh campaign."""
+        from repro.fi import run_eco_campaign
         from repro.fi.faults import full_fault_universe
         from repro.sim.bitparallel import BitParallelSimulator
         from repro.utils.errors import EcoError
@@ -144,9 +145,10 @@ class TestFingerprints:
             campaign_fingerprint(edited, *args)
         )
 
-        # Leave the original's traces and units (a killed run) behind.
+        # Leave the original's campaign and units (a killed run)
+        # behind.
         store = ArtifactStore(tmp_path / "store")
-        run_campaign_with_traces(sdram, workloads, store=store)
+        stored_campaign(store, sdram, workloads)
         real = BitParallelSimulator.run_fault_passes
         passes = {"n": 0}
 
@@ -181,14 +183,9 @@ class TestFingerprints:
                               fresh.detection_cycle)
         assert np.array_equal(resumed.latent, fresh.latent)
 
-        # ECO from the edited design finds no baseline in the store,
-        # and the original's traces are refused for the edited base.
-        _, original_traces = run_campaign_with_traces(sdram, workloads)
+        # ECO from the edited design finds no baseline in the store.
         with pytest.raises(EcoError, match="holds no complete campaign"):
             run_eco_campaign(edited, sdram, workloads, store=store)
-        with pytest.raises(EcoError, match="different campaign"):
-            run_eco_campaign(edited, sdram, workloads, base=fresh,
-                             base_traces=original_traces)
 
     def test_stage_keys_chain_parents(self):
         a = K.stage_key("netlist", {"fingerprint": "x"})
@@ -284,7 +281,6 @@ class TestArtifactStore:
             "gridsearch": lambda p: json.loads(
                 Path(p).read_text()
             )["points"],
-            "traces": EcoTraces.load,
         }
         for kind, reader in readers.items():
             key = canonical_hash({"kind": kind})
@@ -341,6 +337,38 @@ class TestArtifactStore:
         assert store.get(key, "netlist",
                          lambda p: Path(p).read_text()) is None
         assert store.stats()["entries"] == 0
+
+    def test_object_of_unknown_kind_deleted_on_open(self, store):
+        """An object of a kind this version does not have (a retired
+        kind left by an older version) would sit outside the index and
+        the byte budget forever: opening the store deletes it, and
+        leaves in-flight temp files alone."""
+        kept = "c" * 64
+        store.put(kept, "netlist", _text_writer("kept"))
+        bogus_key = "ab" + "0" * 62
+        bogus = store.objects_dir / "ab" / f"{bogus_key}.bogus.npz"
+        bogus.parent.mkdir(parents=True, exist_ok=True)
+        bogus.write_bytes(b"retired kind")
+        temporary = store.objects_dir / "ab" / (
+            f".tmp-1-{bogus_key}.campaign.npz"
+        )
+        temporary.write_bytes(b"in flight")
+        # An older index that still lists the retired object.
+        index = json.loads(store.index_path.read_text())
+        index["entries"][bogus_key] = {
+            "kind": "bogus", "size": 12, "sha256": "0" * 64,
+            "tick": 0, "meta": {},
+        }
+        store.index_path.write_text(json.dumps(index))
+
+        reopened = ArtifactStore(store.directory)
+        assert not bogus.exists()
+        assert temporary.exists()
+        stats = reopened.stats()
+        assert stats["by_kind"] == {"netlist": 1}
+        assert stats["bytes"] == len("kept")
+        assert reopened.gc(byte_budget=1) == (1, len("kept"))
+        assert reopened.stats()["entries"] == 0
 
     def test_find_matches_meta_most_recent_first(self, store):
         store.put("1" * 64, "netlist", _text_writer("x"),
